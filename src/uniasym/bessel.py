@@ -47,8 +47,8 @@ class BesselParams:
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
             raise DomainError(f"order n must be a positive integer, got {self.n}")
-        if self.lam <= 0:
-            raise DomainError(f"lambda must be positive, got {self.lam}")
+        if not (self.lam > 0 and math.isfinite(self.lam)):
+            raise DomainError(f"lambda must be positive and finite, got {self.lam}")
         if not 0 <= self.m <= K_MAX:
             raise UsageError(f"truncation m = {self.m} outside [0, {K_MAX}]")
         if self.kind not in BESSEL_KINDS:

@@ -228,8 +228,14 @@ def _errtable_rows(args, orders: list[int]) -> tuple[list[str], bool]:
 def _cmd_errtable(args) -> int:
     if args.steps < 1:
         return _reject("--steps must be >= 1")
-    if args.lam_min <= 0 or args.lam_max < args.lam_min:
-        print("error: need 0 < lambda-min <= lambda-max", file=sys.stderr)
+    if not 0 < args.theta < math.pi:
+        print(f"error: need 0 < theta < pi, got {args.theta}", file=sys.stderr)
+        return 1
+    if not math.isfinite(args.xi):
+        print(f"error: xi must be finite, got {args.xi}", file=sys.stderr)
+        return 1
+    if not 0 < args.lam_min <= args.lam_max < math.inf:
+        print("error: need 0 < lambda-min <= lambda-max < inf", file=sys.stderr)
         return 1
     try:
         orders = [int(s) for s in args.orders.split(",") if s != ""]

@@ -45,9 +45,15 @@ _SMALL_GAMMA_WARN = 0.05
 def exact_params(gamma: float, xi: float) -> tuple[Fraction, Fraction]:
     """Exact (g, zeta) for a floating request: g = gamma^2 as a dyadic
     rational, zeta = xi - 1/8.  Keeps the kernel cache exact and finite."""
-    if gamma <= 0:
-        raise DomainError(f"gamma must be positive, got {gamma}")
+    _check_finite_params(gamma, xi)
     return Fraction(gamma) ** 2, Fraction(xi) - Fraction(1, 8)
+
+
+def _check_finite_params(gamma: float, xi: float) -> None:
+    if not (gamma > 0 and math.isfinite(gamma)):
+        raise DomainError(f"gamma must be positive and finite, got {gamma}")
+    if not math.isfinite(xi):
+        raise DomainError(f"xi must be finite, got {xi}")
 
 
 def _check_gamma(gamma: float) -> None:
@@ -111,8 +117,7 @@ class LegendreParams:
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
             raise DomainError(f"order n must be a positive integer, got {self.n}")
-        if self.gamma <= 0:
-            raise DomainError(f"gamma must be positive, got {self.gamma}")
+        _check_finite_params(self.gamma, self.xi)
         if not -1.0 < self.x < 1.0:
             raise DomainError(f"x must satisfy |x| < 1, got {self.x}")
         if not 0 <= self.m <= K_MAX:

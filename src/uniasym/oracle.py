@@ -2,34 +2,29 @@
 
 Ground truth, independent of the fast expansion evaluators: Gauss-series
 evaluation of the first Legendre-type solution p (complex arithmetic with
-a realness certificate), the second solution q by reflection or by the
-reduction-of-order integral with a boundary-layer-aware quadrature, the
-ascending series for I_n, and tanh-sinh quadrature for K_n.  Everything
-runs in arbitrary-precision arithmetic with explicit error estimates.
-Orders of magnitude slower than the expansion evaluators, by design.
+a realness certificate), the second solution q = c p(-x) with the
+constant c in closed form and p(-x) from the Gauss series at -x or, near
+x = 1, from the logarithmic connection series, the ascending series for
+I_n, and tanh-sinh quadrature for K_n.  Everything runs in
+arbitrary-precision arithmetic with explicit error estimates.  Orders of
+magnitude slower than the expansion evaluators, by design.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import warnings
 from dataclasses import dataclass
 
 import mpmath as mp
 
 from .errors import DomainError, IntegrityError, PrecisionError, UsageError
-from .legendre import LegendreParams, eval_legendre
 
 ORACLE_DPS_ENV = "UNIASYM_ORACLE_DPS"
 
-# x beyond which the reflected series for q becomes too slow and the
-# reduction-of-order integral takes over
+# x beyond which the Gauss series at -x for q becomes too slow and the
+# connection series about x = 1 takes over
 _REFLECT_MAX = 0.9
-
-# relative size below which a contribution is dropped with a recorded bound
-def _negligible_cut(dps: int) -> float:
-    return 10.0 ** (-(dps + 10))
 
 
 @dataclass(frozen=True)
@@ -56,7 +51,10 @@ def default_config() -> OracleConfig:
     """Config honoring the UNIASYM_ORACLE_DPS environment override."""
     dps = os.environ.get(ORACLE_DPS_ENV)
     if dps:
-        return OracleConfig(dps=int(dps))
+        try:
+            return OracleConfig(dps=int(dps))
+        except ValueError:
+            raise UsageError(f"{ORACLE_DPS_ENV} must be an integer, got {dps!r}") from None
     return OracleConfig()
 
 
@@ -69,11 +67,13 @@ class OracleValue:
     err_estimate: float
 
 
-def _validate_point(n: int, gamma: float, x: float) -> None:
+def _validate_point(n: int, gamma: float, xi: float, x) -> None:
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"order n must be a positive integer, got {n}")
-    if gamma <= 0:
-        raise DomainError(f"gamma must be positive, got {gamma}")
+    if not (gamma > 0 and math.isfinite(gamma)):
+        raise DomainError(f"gamma must be positive and finite, got {gamma}")
+    if not math.isfinite(xi):
+        raise DomainError(f"xi must be finite, got {xi}")
     if not -1.0 < x < 1.0:
         raise DomainError(f"x must satisfy |x| < 1, got {x}")
 
@@ -192,15 +192,15 @@ def _p_parts(n: int, gamma, xi, x, cfg: OracleConfig, complex_path: bool):
     return value, deriv, amp, ser
 
 
-def p_reference(n: int, gamma: float, xi: float, x: float, cfg: OracleConfig | None = None) -> OracleValue:
+def p_reference(n: int, gamma: float, xi: float, x, cfg: OracleConfig | None = None) -> OracleValue:
     """First-kind reference value via the Gauss series in complex arithmetic.
 
     The imaginary residue of the complex-index evaluation is folded into
     err_estimate as a realness certificate; the returned value is the
-    real part.
+    real part.  x may be a float or an mpf carried at working precision.
     """
     cfg = cfg or default_config()
-    _validate_point(n, gamma, x)
+    _validate_point(n, gamma, xi, x)
     guard = _series_guard_digits(n, gamma, xi, x)
     with mp.workdps(cfg.dps + guard):
         value, deriv, _, ser = _p_parts(n, gamma, xi, x, cfg, complex_path=True)
@@ -212,7 +212,7 @@ def p_reference_paths(
 ) -> tuple[OracleValue, OracleValue]:
     """Both series routes (complex-index and real-ratio) for route checks."""
     cfg = cfg or default_config()
-    _validate_point(n, gamma, x)
+    _validate_point(n, gamma, xi, x)
     guard = _series_guard_digits(n, gamma, xi, x)
     with mp.workdps(cfg.dps + guard):
         vc, dc, _, sc = _p_parts(n, gamma, xi, x, cfg, complex_path=True)
@@ -230,7 +230,7 @@ def p_ode_residual(n: int, gamma: float, xi: float, x: float, cfg: OracleConfig 
     this is an internal-consistency certificate of the oracle itself.
     """
     cfg = cfg or default_config()
-    _validate_point(n, gamma, x)
+    _validate_point(n, gamma, xi, x)
     guard = _series_guard_digits(n, gamma, xi, x)
     with mp.workdps(cfg.dps + guard):
         xm = mp.mpf(x)
@@ -250,143 +250,95 @@ def p_ode_residual(n: int, gamma: float, xi: float, x: float, cfg: OracleConfig 
 
 # -- second solution -----------------------------------------------------
 
-def _pin_constant(n: int, gamma: float, xi: float, cfg: OracleConfig):
-    """Proportionality constant tying the reflected solution to q.
+def _q_constant(n: int, gamma: float, xi: float):
+    """Constant c in q(x) = c p(-x), from the Wronskian of the Ferrers pair
+    P^(-n)_mu(x), P^(-n)_mu(-x) (DLMF 14.2(iv)) set equal to 1/(1-x^2):
 
-    Pinned by the Wronskian p q' - p' q = 1/(1-x^2) at x0 = 0 (shifted
-    off zero in the rare case of a vanishing product):
+        c = Gamma(n - mu) Gamma(n + 1 + mu) / 2,
 
-        c = -1 / (2 p(0) p'(0)).
+    real for both real and complex-conjugate index.
     """
-    x0 = 0.0
-    for _ in range(6):
-        with mp.extradps(_series_guard_digits(n, gamma, xi, -x0)):
-            pv, dv, _, _ = _p_parts(n, gamma, xi, x0, cfg, complex_path=False)
-            if x0 == 0.0:
-                pm, dm = pv, dv
-            else:
-                pm, dm, _, _ = _p_parts(n, gamma, xi, -x0, cfg, complex_path=False)
-            denom = (1 - mp.mpf(x0) ** 2) * (pv * dm + dv * pm)
-        if abs(denom) > mp.mpf(10) ** (-cfg.dps // 2):
-            return -1 / denom
-        x0 += 0.125
-    raise PrecisionError("could not pin the second-solution constant")
+    mu = _mu_mpc(n, gamma, xi)
+    return mp.re(mp.gamma(n - mu) * mp.gamma(n + 1 + mu)) / 2
 
 
-def _profile_log_p(n: int, gamma: float, xi: float, x: float) -> float:
-    """Cheap float estimate of ln p(x) from the m=1 expansion."""
-    ev = eval_legendre(LegendreParams(n, gamma, xi, x, 1, "p"), scaled=True)
-    mag = abs(ev.value)
-    if mag == 0.0:
-        return -math.inf
-    return (ev.log_scale or 0.0) + math.log(mag)
-
-
-def _quad_panels(n: int, gamma: float, xi: float, x: float, dps: int):
-    """Plan the u-integration of 1/((1+t) p(t)^2), t = 1 - exp(-u).
-
-    Returns (u1, panel bounds): the profile ln J(u) = -2 ln p - ln(1+t)
-    rises monotonically toward u_max = -ln(1-x); everything more than
-    dps+15 digits below the top contributes beneath the reporting
-    threshold and is bounded, not integrated.  Panels hold ~8 nats each
-    so the per-panel integrand is mildly exponential.
-    """
-    u_max = -math.log1p(-x)
-    grid_n = 400
-    us = [u_max * i / grid_n for i in range(grid_n + 1)]
-    lnj = []
-    for u in us:
-        t = -math.expm1(-u)
-        lnj.append(-math.log1p(t) - 2.0 * _profile_log_p(n, gamma, xi, t))
-    top = lnj[-1]
-    cutoff = top - (dps + 15) * math.log(10.0)
-    idx = 0
-    for i in range(grid_n + 1):
-        if lnj[i] >= cutoff:
-            idx = i
-            break
-    u1 = us[max(0, idx - 1)]
-    bounds = [u1]
-    last_ln = lnj[max(0, idx - 1)]
-    for i in range(idx, grid_n + 1):
-        if lnj[i] - last_ln >= 8.0:
-            bounds.append(us[i])
-            last_ln = lnj[i]
-    if bounds[-1] < u_max:
-        bounds.append(u_max)
-    return u1, bounds
-
-
-def _q_integral(n: int, gamma: float, xi: float, x: float, cfg: OracleConfig):
-    """Reduction-of-order construction at the current precision.
-
-    q(x) = p(x) [c + Int_0^x dt/((1-t^2) p(t)^2)]; the constant c is
-    included when its predicted share exceeds the drop threshold, and the
-    low-u part of the integral is bounded rather than integrated when
-    provably negligible.
-    """
-    u1, bounds = _quad_panels(n, gamma, xi, x, cfg.dps)
-    # the planner works in floats; the top limit must hit t = x exactly
-    bounds = [mp.mpf(b) for b in bounds]
-    bounds[-1] = -mp.log(1 - mp.mpf(x))
-
-    def integrand(u):
-        t = -mp.expm1(-u)
-        guard = _series_guard_digits(n, gamma, xi, float(t))
-        with mp.extradps(guard):
-            pv, _, _, _ = _p_parts(n, gamma, xi, t, cfg, complex_path=False)
-        return 1 / ((1 + t) * pv * pv)
-
-    total = mp.mpf(0)
-    quad_err = mp.mpf(0)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        val, err = mp.quad(integrand, [lo, hi], error=True)
-        total += val
-        quad_err += err
-
-    dropped_rel = 0.0
-    if u1 > 0.0:
-        # the integrand increases in u, so u1 * J(u1) bounds the skipped part
-        low_bound = u1 * integrand(u1)
-        dropped_rel = float(low_bound / total)
-        if dropped_rel > _negligible_cut(cfg.dps):
-            val, err = mp.quad(integrand, [0.0, u1 / 2, u1], error=True)
-            total += val
-            quad_err += err
-            dropped_rel = 0.0
-
-    # predicted share of the pinned constant
-    ln_c = -math.log(2.0) - 2.0 * _profile_log_p(n, gamma, xi, 0.0)
-    ln_total = float(mp.log(abs(total)))
-    c_rel = math.exp(min(700.0, ln_c - ln_total))
-    c_pin = None
-    if c_rel > _negligible_cut(cfg.dps):
-        c_pin = _pin_constant(n, gamma, xi, cfg)
-        total += c_pin
-    push_err = float(quad_err / abs(total)) + dropped_rel
-    if c_pin is None:
-        push_err += min(c_rel, 1.0)
-
-    with mp.extradps(_series_guard_digits(n, gamma, xi, x)):
-        px, dpx, _, ser = _p_parts(n, gamma, xi, x, cfg, complex_path=False)
-    one_minus_x2 = 1 - mp.mpf(x) ** 2
-    value = px * total
-    deriv = dpx * total + 1 / (one_minus_x2 * px)
-    return value, deriv, push_err + ser.tail_rel, c_pin
-
-
-def _q_reflection(n: int, gamma: float, xi: float, x: float, cfg: OracleConfig):
-    """q from the reflected first solution: q(x) = c p(-x)."""
-    c_pin = _pin_constant(n, gamma, xi, cfg)
+def _q_reflection(n: int, gamma: float, xi: float, x, cfg: OracleConfig):
+    """q = c p(-x) with p(-x) from the Gauss series at -x."""
+    c = _q_constant(n, gamma, xi)
     with mp.extradps(_series_guard_digits(n, gamma, xi, -x)):
         pm, dm, _, ser = _p_parts(n, gamma, xi, -x, cfg, complex_path=False)
-    return c_pin * pm, -c_pin * dm, ser.tail_rel, c_pin
+    return c * pm, -c * dm, ser.tail_rel
 
 
-def _q_ode(n: int, gamma: float, xi: float, x: float, cfg: OracleConfig, c_pin):
+def _q_connection(n: int, gamma: float, xi: float, x, cfg: OracleConfig):
+    """q = c p(-x) with p(-x) from the connection series about x = 1.
+
+    In w = (1-x)/2, F(-mu, mu+1; n+1; 1-w) is the degenerate case of
+    DLMF 15.8.10, (n+1) - (-mu) - (mu+1) = n.  Its prefactor 1/(Gamma(n-mu)
+    Gamma(n+1+mu)) is 1/(2c), so c cancels and, with s = n^2 g + 2 xi,
+
+        q = ((1-w)/w)^(n/2) / 2 * [ sum_{k<n} P_k (-w)^k (n-1-k)!/k!
+              - (-1)^n sum_{k>=0} P_(n+k) w^(n+k) (ln w + D_k)/(k! (n+k)!) ]
+
+    where P_k = (-mu)_k (mu+1)_k = prod_{j<k} (j(j+1) + s) and
+    D_k = psi(n-mu+k) + psi(n+1+mu+k) - psi(k+1) - psi(n+k+1), all real.
+    The logarithmic terms rise like exp(2 sqrt(s w)) before they decay
+    while q falls like its inverse, so twice the Gauss-series guard is
+    carried on both the working precision and the term tolerance.
+    """
+    guard = 2 * _series_guard_digits(n, gamma, xi, x)
+    with mp.extradps(guard):
+        w = (1 - mp.mpf(x)) / 2
+        s = (n * mp.mpf(gamma)) ** 2 + 2 * mp.mpf(xi)
+        tol = mp.mpf(cfg.series_tol) * mp.mpf(10) ** (-guard)
+        safe_k = math.isqrt(int(max(0.0, -float(s)))) + 2
+
+        g = mp.mpf(0)
+        dg = mp.mpf(0)
+        prod = mp.mpf(1)
+        for k in range(n):
+            term = prod * (-w) ** k * mp.factorial(n - 1 - k) / mp.factorial(k)
+            g += term
+            dg += k * term / w
+            prod *= k * (k + 1) + s
+
+        mu = _mu_mpc(n, gamma, xi)
+        # D_0, with psi(1) + psi(n+1) = H_n - 2 euler
+        d = mp.re(mp.digamma(n - mu) + mp.digamma(n + 1 + mu)) + 2 * mp.euler - mp.harmonic(n)
+        ln_w = mp.log(w)
+        coef = -((-1) ** n) * prod * w**n / mp.factorial(n)
+        k = 0
+        small_streak = 0
+        while True:
+            a = ln_w + d
+            g += coef * a
+            dg += coef * ((n + k) * a + 1) / w
+            size = abs(coef) * (1 + abs(a))
+            if size <= tol * abs(g) and k > safe_k:
+                small_streak += 1
+                if small_streak >= 2:
+                    break
+            else:
+                small_streak = 0
+            nk = n + k
+            coef *= (nk * (nk + 1) + s) * w / ((k + 1) * (nk + 1))
+            d += (2 * nk + 1) / (nk * (nk + 1) + s) - mp.mpf(1) / (k + 1) - mp.mpf(1) / (nk + 1)
+            k += 1
+            if k >= cfg.max_terms:
+                raise PrecisionError(
+                    f"connection series did not meet tolerance within {cfg.max_terms} terms"
+                )
+
+        amp = ((1 - w) / w) ** (mp.mpf(n) / 2) / 2
+        value = amp * g
+        # d/dx = -(1/2) d/dw, and 1 - x^2 = 4 w (1 - w)
+        deriv = value * n / (4 * w * (1 - w)) - amp * dg / 2
+        return +value, +deriv, float(size / abs(g))
+
+
+def _q_ode(n: int, gamma: float, xi: float, x, cfg: OracleConfig):
     """Transport q from 0 to x by adaptive Taylor integration of the ODE."""
-    if c_pin is None:
-        c_pin = _pin_constant(n, gamma, xi, cfg)
+    c = _q_constant(n, gamma, xi)
     with mp.extradps(_series_guard_digits(n, gamma, xi, 0.0)):
         p0, dp0, _, _ = _p_parts(n, gamma, xi, 0.0, cfg, complex_path=False)
     gg = mp.mpf(gamma) ** 2
@@ -401,7 +353,7 @@ def _q_ode(n: int, gamma: float, xi: float, x: float, cfg: OracleConfig, c_pin):
         return [sign * y[1], sign * (2 * t * y[1] + coeff * y[0]) / one_minus_t2]
 
     tol = mp.mpf(cfg.ode_tol) if cfg.ode_tol else None
-    fn = mp.odefun(rhs, 0, [c_pin * p0, -c_pin * dp0], tol=tol)
+    fn = mp.odefun(rhs, 0, [c * p0, -c * dp0], tol=tol)
     val, der = fn(sign * x)
     return val, der
 
@@ -410,54 +362,44 @@ def q_reference(
     n: int,
     gamma: float,
     xi: float,
-    x: float,
+    x,
     cfg: OracleConfig | None = None,
     method: str = "auto",
     cross_validate: bool = False,
 ) -> OracleValue:
-    """Second-kind reference value.
+    """Second-kind reference value q(x) = c p(-x), c in closed form.
 
-    method: "reflection" (series at -x; default for |x| <= 0.9),
-    "integral" (reduction of order; default beyond), or "ode" (Taylor
-    transport from 0).  With cross_validate=True the result is re-derived
-    by ODE transport and the two must agree to 1e-25 (IntegrityError
-    otherwise); validation is skipped with a warning in regimes where the
-    pinned constant is provably negligible and was never computed.
+    method: "reflection" (Gauss series at -x; default for x <= 0.9),
+    "connection" (series about x = 1; default beyond), or "ode" (Taylor
+    transport from 0).  x may be a float or an mpf carried at working
+    precision.  With cross_validate=True the result is re-derived by ODE
+    transport and the two must agree to 1e-25 (IntegrityError otherwise).
     """
     cfg = cfg or default_config()
-    _validate_point(n, gamma, x)
-    if method not in ("auto", "reflection", "integral", "ode"):
+    _validate_point(n, gamma, xi, x)
+    if method not in ("auto", "reflection", "connection", "ode"):
         raise UsageError(f"unknown method {method!r}")
     if method == "auto":
-        method = "reflection" if x <= _REFLECT_MAX else "integral"
+        method = "reflection" if x <= _REFLECT_MAX else "connection"
 
     with mp.workdps(cfg.dps + 10):
-        c_pin = None
         if method == "reflection":
-            value, deriv, err, c_pin = _q_reflection(n, gamma, xi, x, cfg)
-        elif method == "integral":
-            value, deriv, err, c_pin = _q_integral(n, gamma, xi, x, cfg)
+            value, deriv, err = _q_reflection(n, gamma, xi, x, cfg)
+        elif method == "connection":
+            value, deriv, err = _q_connection(n, gamma, xi, x, cfg)
         else:
-            value, deriv = _q_ode(n, gamma, xi, x, cfg, None)
+            value, deriv = _q_ode(n, gamma, xi, x, cfg)
             err = 10.0 ** (-(cfg.dps - 10))
 
         if cross_validate and method != "ode":
-            if c_pin is None:
-                warnings.warn(
-                    "cross-validation skipped: pinned constant negligible "
-                    "and not computed in this regime",
-                    RuntimeWarning,
-                    stacklevel=2,
+            vdps = min(cfg.dps, 35)
+            with mp.workdps(vdps + 10):
+                ode_val, _ = _q_ode(n, gamma, xi, x, cfg)
+            gap = float(abs(ode_val - value) / abs(value))
+            if gap > 1e-25:
+                raise IntegrityError(
+                    f"q constructions disagree: relative gap {gap:.3e}"
                 )
-            else:
-                vdps = min(cfg.dps, 35)
-                with mp.workdps(vdps + 10):
-                    ode_val, _ = _q_ode(n, gamma, xi, x, cfg, c_pin)
-                gap = float(abs(ode_val - value) / abs(value))
-                if gap > 1e-25:
-                    raise IntegrityError(
-                        f"q constructions disagree: relative gap {gap:.3e}"
-                    )
         return OracleValue(+value, +deriv, err)
 
 
@@ -509,18 +451,22 @@ def _besselK_quad(n: int, zm, cfg: OracleConfig):
 
     T satisfies z (cosh T - 1) - n T >= (dps + 20) ln 10, so the dropped
     tail is below the reporting precision relative to exp(-z) <= K_n(z).
+    The factor exp(-z) is taken out before integrating: mp.quad stops on
+    an absolute error test, which an integrand of size exp(-z) would pass
+    at once.
     """
     z = float(zm)
     need = (cfg.dps + 20) * math.log(10.0)
     t_top = math.acosh(1.0 + need / z)
     for _ in range(4):
         t_top = math.acosh(1.0 + (need + n * t_top) / z)
-    integrand = lambda t: mp.exp(-zm * mp.cosh(t)) * mp.cosh(n * t)
+    integrand = lambda t: mp.exp(zm - zm * mp.cosh(t)) * mp.cosh(n * t)
     split = min(t_top / 2, math.asinh(n / z) + 1.0)
     val, err = mp.quad(integrand, [0, split, t_top], error=True)
-    # tail bound: exp(-z cosh t) cosh(n t) <= exp(-z cosh T + n T) * exp(-z(t-T))-free
-    tail = mp.exp(-zm * mp.cosh(t_top) + n * t_top) / zm
-    err = err + tail
+    # bound on the part of the integral past T
+    tail = mp.exp(zm - zm * mp.cosh(t_top) + n * t_top) / zm
+    scale = mp.exp(-zm)
+    val, err = scale * val, scale * (err + tail)
     if not mp.isfinite(val) or (val > 0 and err / val > mp.mpf(10) ** (-cfg.dps // 2)):
         raise PrecisionError(f"K quadrature failed to converge (err {err})")
     return val, err
@@ -643,7 +589,9 @@ def limit_check_bessel(
     if theta <= 0 or lam <= 0:
         raise DomainError("theta and lambda must be positive")
     gamma = lam / math.sin(theta)
-    x = math.cos(theta)
+    # cos theta in floats would carry ~1e-16 / theta^2 relative error in 1 - x
+    with mp.workdps(cfg.dps + 10):
+        x = mp.cos(mp.mpf(theta))
     pv = p_reference(n, gamma, 0.0, x, cfg)
     qv = q_reference(n, gamma, 0.0, x, cfg)
     iv = besselI_reference(n, n * lam, cfg)

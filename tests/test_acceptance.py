@@ -126,12 +126,10 @@ def test_criterion_05_error_table_shape():
             gamma = lam / math.sin(theta)
             refs = {
                 "p": p_reference(n, gamma, xi, x, cfg).value,
-                # Reflection, not the "auto" choice: at x > 0.9 auto takes
-                # the reduction-of-order integral, 17-60 s per call here,
-                # which would put the two-n table far over the bound.  The
-                # two routes agree to 3.7e-38 at this x, as
-                # test_q_reflection_vs_integral checks.
-                "q": q_reference(n, gamma, xi, x, cfg, method="reflection").value,
+                # x > 0.9, so this is the connection series about x = 1;
+                # test_q_connection_vs_reflection checks it against the
+                # Gauss series at -x to 1e-30 at this x.
+                "q": q_reference(n, gamma, xi, x, cfg).value,
             }
             table[n][lam] = {
                 kind: [

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -102,6 +103,35 @@ def test_eval_flag_misuse_is_usage_error(capsys):
         rc, _, err = run_cli(capsys, *argv)
         assert rc == 2, argv
         assert err
+
+
+@pytest.mark.parametrize("argv,env,code", [
+    (["eval", "--family", "bessel", "--kind", "I", "--n", "4", "--lambda", "nan"], {}, 1),
+    (["eval", "--family", "legendre", "--kind", "q", "--n", "4",
+      "--lambda", "nan", "--x", "0.5"], {}, 1),
+    (["eval", "--family", "legendre", "--kind", "p", "--n", "4",
+      "--gamma", "nan", "--x", "0.5"], {}, 1),
+    (["eval", "--family", "legendre", "--kind", "p", "--n", "4",
+      "--gamma", "inf", "--x", "0.5"], {}, 1),
+    (["eval", "--family", "legendre", "--kind", "p", "--n", "4",
+      "--gamma", "1", "--xi", "nan", "--x", "0.5"], {}, 1),
+    (["errtable", "--theta", "nan", "--n", "4",
+      "--lambda-min", "1", "--lambda-max", "2", "--steps", "2"], {}, 1),
+    (["errtable", "--theta", "0.3", "--n", "4",
+      "--lambda-min", "1", "--lambda-max", "2", "--steps", "2"],
+     {"UNIASYM_ORACLE_DPS": "4.5"}, 2),
+], ids=["bessel-lambda-nan", "legendre-lambda-nan", "gamma-nan", "gamma-inf",
+        "xi-nan", "theta-nan", "dps-env-not-int"])
+def test_non_finite_input_is_one_line_error(argv, env, code):
+    proc = subprocess.run(
+        [sys.executable, "-m", "uniasym", *argv],
+        capture_output=True, text=True, timeout=120, env={**os.environ, **env},
+    )
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:")
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stdout == ""
 
 
 def test_eval_domain_error_exit(capsys):

@@ -110,6 +110,9 @@ def test_s_minus1_formula_and_monotonicity():
 def test_exact_params_snaps_to_rationals():
     assert exact_params(2.0, 0.125) == (Fraction(4), Fraction(0))
     assert exact_params(0.5, 0.0) == (Fraction(1, 4), Fraction(-1, 8))
+    for gamma, xi in ((math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan)):
+        with pytest.raises(DomainError):
+            exact_params(gamma, xi)
 
 
 # -- parameter validation -----------------------------------------------------

@@ -27,6 +27,7 @@ from uniasym.oracle import (
     p_ode_residual,
     p_reference_paths,
     q_methods_gap,
+    _q_constant,
 )
 
 CFG = OracleConfig(dps=40)
@@ -59,6 +60,8 @@ def test_point_validation():
         p_reference(4, 1.0, 0.0, 1.0, CFG)
     with pytest.raises(UsageError):
         q_reference(4, 1.0, 0.0, 0.5, CFG, method="bogus")
+    with pytest.raises(UsageError):
+        q_reference(4, 1.0, 0.0, 0.95, CFG, method="integral")
 
 
 def test_series_budget_surfaces_precision_error():
@@ -111,13 +114,30 @@ def test_q_construction_routes_agree(n, gamma, xi, x):
     assert q_methods_gap(n, gamma, xi, x, CFG) <= 1e-25
 
 
-def test_q_reflection_vs_integral():
-    # x = cos 0.1 is past the auto route's switch to the integral; the
-    # acceptance gate's error table takes q there by reflection.
-    for gamma, x in ((1.0, 0.5), (2.0 / math.sin(0.1), math.cos(0.1))):
-        a = q_reference(4, gamma, 0.0, x, CFG, method="reflection")
-        b = q_reference(4, gamma, 0.0, x, CFG, method="integral")
+def test_q_connection_vs_reflection():
+    # The connection series about x = 1 must reproduce c p(-x) from the
+    # Gauss series at -x, also where its terms cancel hardest: x = 0.9 at
+    # n gamma = 200, and the near-axis errtable point x = cos 0.1.
+    cases = [(4, 1.0, 0.0, 0.95), (8, 25.0, 0.0, 0.9), (1, 2.0, -1.0, 0.95)]
+    cases.append((4, 2.0 / math.sin(0.1), 0.0, math.cos(0.1)))
+    for n, gamma, xi, x in cases:
+        a = q_reference(n, gamma, xi, x, CFG, method="reflection")
+        b = q_reference(n, gamma, xi, x, CFG, method="connection")
         assert float(abs(a.value - b.value) / abs(a.value)) < 1e-30
+        assert float(abs(a.derivative - b.derivative) / abs(a.derivative)) < 1e-30
+
+
+@pytest.mark.parametrize(
+    "n,gamma,xi", [(1, 0.3, -1.0), (1, 1.0, 0.0), (4, 2.0, 0.125), (8, 25.0, 0.0)]
+)
+def test_q_constant_matches_wronskian_pin(n, gamma, xi):
+    # Closed-form c against the Wronskian at x = 0, where q = c p(-x) gives
+    # p q' - p' q = -2 c p(0) p'(0) = 1.  xi = -1 makes mu real.
+    p0 = p_reference(n, gamma, xi, 0.0, CFG)
+    with mp.workdps(CFG.dps + 10):
+        c = _q_constant(n, gamma, xi)
+        pin = -1 / (2 * p0.value * p0.derivative)
+        assert float(abs(c - pin) / abs(pin)) < 1e-30
 
 
 def test_q_cross_validation_path():
@@ -146,8 +166,14 @@ def test_besselI_recurrence_identity():
 
 
 def test_besselK_positive():
-    for n, z in ((1, 0.5), (4, 8.0), (16, 40.0)):
-        assert besselK_reference(n, z, CFG).value > 0
+    # At z = n lambda >= 128 the quadrature must have exp(-z) scaled out:
+    # mp.quad's absolute error test passes an integrand that small at once.
+    for n, z in ((1, 0.5), (4, 8.0), (16, 40.0), (16, 128.0), (32, 128.0),
+                 (4, 200.0), (4, 1000.0)):
+        val = besselK_reference(n, z, CFG).value
+        assert val > 0
+        with mp.workdps(CFG.dps):
+            assert float(abs(val - mp.besselk(n, z)) / val) < 1e-35
 
 
 def test_besselK_large_argument_asymptote():
@@ -180,9 +206,12 @@ def test_bessel_ode_residuals():
 # -- limiting relation ---------------------------------------------------------------
 
 def test_limit_gaps_shrink_with_theta():
-    reports = [limit_check_bessel(4, 1.0, th, CFG) for th in (1e-2, 1e-3)]
-    assert reports[1].p_gap < reports[0].p_gap / 2
-    assert reports[1].q_gap < reports[0].q_gap / 2
+    # Both gaps are O(theta^2): each step of 10 in theta cuts them by 100.
+    # At theta = 1e-4 this needs cos theta beyond double precision.
+    reports = [limit_check_bessel(4, 1.0, th, CFG) for th in (1e-2, 1e-3, 1e-4)]
+    for wide, narrow in zip(reports, reports[1:]):
+        assert wide.p_gap / narrow.p_gap == pytest.approx(100.0, rel=0.02)
+        assert wide.q_gap / narrow.q_gap == pytest.approx(100.0, rel=0.02)
     assert reports[0].p_gap < 1e-3
 
 
