@@ -6,7 +6,7 @@ families, a numeric spectral cross-check, and an arbitrary-precision
 oracle used to measure truncation errors.
 """
 
-from .coeff import CoeffExpr, expr_eval, scaled_diff
+from .coeff import CoeffExpr
 from .errors import (
     DomainError,
     IntegrityError,
@@ -15,10 +15,9 @@ from .errors import (
     UsageError,
 )
 from .exact import ExactScalar
-from .bessel import BesselEval, BesselParams, eta, eval_bessel, t_of_lambda
+from .bessel import BesselParams, SeriesEval, eta, eval_bessel, t_of_lambda
 from .legendre import (
     CrossRelationReport,
-    LegendreEval,
     LegendreParams,
     cross_relation_check,
     eta_tilde,
@@ -56,7 +55,6 @@ from .spectral import SpectralCoeff, spectral_chain, spectral_step
 __version__ = "0.1.0"
 
 __all__ = [
-    "BesselEval",
     "BesselParams",
     "CoeffExpr",
     "CrossRelationReport",
@@ -64,13 +62,13 @@ __all__ = [
     "ExactScalar",
     "IntegrityError",
     "K_MAX",
-    "LegendreEval",
     "LegendreParams",
     "LimitBesselReport",
     "OracleConfig",
     "OracleValue",
     "PrecisionError",
     "ResolutionError",
+    "SeriesEval",
     "SpectralCoeff",
     "UsageError",
     "bernoulli_numbers",
@@ -84,7 +82,6 @@ __all__ = [
     "eval_bessel_form",
     "eval_legendre",
     "exact_params",
-    "expr_eval",
     "integrate_step_bessel",
     "integrate_step_legendre",
     "limit_check_bessel",
@@ -97,7 +94,6 @@ __all__ = [
     "psi_bar_plus",
     "psi_plus",
     "q_reference",
-    "scaled_diff",
     "spectral_chain",
     "spectral_step",
     "stirling_exp_coefficients",

@@ -3,6 +3,10 @@
 Each check returns (ok, detail).  Suites are deterministic: fixed seeds,
 fixed parameter grids.  They are smoke-level by intent; the full test
 suite carries the heavier property-based versions.
+
+A claim that `uniasym check`, the acceptance gate and the unit tests all
+measure is measured by one function here, which returns the numbers;
+each caller applies its own grid and its own stated bound.
 """
 
 from __future__ import annotations
@@ -12,21 +16,25 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
 from scipy.integrate import quad as _fquad
 
 from . import oracle as orc
-from .bessel import BesselParams, eval_bessel, t_of_lambda
+from .bessel import BESSEL_KINDS, BesselParams, SeriesEval, eval_bessel, t_of_lambda
 from .coeff import CoeffExpr
 from .exact import ExactScalar
 from .legendre import (
+    LEGENDRE_KINDS,
     LegendreParams,
     cross_relation_check,
     eta_tilde,
     eta_tilde_from_profile,
     eval_bessel_form,
     eval_legendre,
+    exact_params,
 )
 from .recurrences import (
+    K_MAX,
     _kernel,
     omega,
     omega_bar,
@@ -41,6 +49,82 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+
+
+# -- shared measurements -----------------------------------------------------
+
+def decreasing(seq) -> bool:
+    """Strictly decreasing."""
+    return all(b < a for a, b in zip(seq, seq[1:]))
+
+
+def legendre_series_wronskian(n: int, gamma: float, xi: float, x: float, m: int) -> float:
+    """|n [p dq - dp q] (1 - x^2) - 1| of the order-m series; O(n^-(m+1))."""
+    vals = {
+        kind: eval_legendre(LegendreParams(n, gamma, xi, x, m, kind)).value
+        for kind in LEGENDRE_KINDS
+    }
+    w = n * (vals["p"] * vals["dq"] - vals["dp"] * vals["q"]) * (1 - x * x)
+    return abs(w - 1.0)
+
+
+def bessel_series_wronskian(n: int, lam: float, m: int) -> float:
+    """|z [I' K - K' I] - 1| at z = n*lam of the order-m series."""
+    vals = {
+        kind: eval_bessel(BesselParams(n, lam, m, kind)).value
+        for kind in BESSEL_KINDS
+    }
+    return abs((vals["dI"] * vals["K"] - vals["dK"] * vals["I"]) * (n * lam) - 1.0)
+
+
+def bessel_form_gap(
+    n: int, lam: float, theta: float, xi: float, m: int, kind: str
+) -> tuple[float, SeriesEval]:
+    """Ratio - 1 of eval_legendre at gamma = lam/sin(theta), x = cos(theta)
+    over eval_bessel_form, both order m, and the eval_legendre result."""
+    a = eval_legendre(
+        LegendreParams(n, lam / math.sin(theta), xi, math.cos(theta), m, kind),
+        scaled=True,
+    )
+    b = eval_bessel_form(n, lam, theta, xi, m, kind, scaled=True)
+    return math.exp(a.log_scale - b.log_scale) * a.value / b.value - 1.0, a
+
+
+def psi_defects(g: Fraction, zeta: Fraction) -> list[tuple[str, int, str]]:
+    """(series, k, defect) for each psi_k ("plain") and psibar_k ("bar"),
+    1 <= k <= K_MAX, that is nonzero at v = 1 or keeps a log term."""
+    bad = []
+    for k in range(1, K_MAX + 1):
+        for tag, e in (("plain", psi(k, g, zeta)), ("bar", psi_bar(k, g, zeta))):
+            if not e.value_at_one().is_zero:
+                bad.append((tag, k, "nonzero at v=1"))
+            if e.has_log:
+                bad.append((tag, k, "keeps a log term"))
+    return bad
+
+
+def mode_samples(gamma: float, xi: float, nodes) -> dict:
+    """{k: (spectral, symbolic)} samples of psi_k, k = 1..3, at the nodes:
+    the grid-sampled chain against the exact kernel."""
+    chain = spectral_chain("legendre", gamma, xi, 3)
+    g, zeta = exact_params(gamma, xi)
+    return {
+        k: (chain[k].eval(nodes), np.array([psi(k, g, zeta).eval(gamma, v) for v in nodes]))
+        for k in (1, 2, 3)
+    }
+
+
+def oracle_wronskian_worst(points, cfg: orc.OracleConfig) -> float:
+    """Largest oracle Wronskian residual over (n, gamma, xi, x) points."""
+    return max(orc.legendre_wronskian_residual(*pt, cfg) for pt in points)
+
+
+def limit_gaps(
+    n: int, lam: float, thetas, cfg: orc.OracleConfig
+) -> tuple[list[float], list[float]]:
+    """Small-angle gaps of the scaled p and q to I_n and K_n, per theta."""
+    reps = [orc.limit_check_bessel(n, lam, th, cfg) for th in thetas]
+    return [r.p_gap for r in reps], [r.q_gap for r in reps]
 
 
 # -- kernel ------------------------------------------------------------------
@@ -118,30 +202,19 @@ def _check_log_cancellation() -> tuple[bool, str]:
         (Fraction(5, 2), Fraction(-3, 7)),
         (Fraction(16), Fraction(1, 16)),
     ]
-    for g, zeta in pairs:
-        for k in range(1, 7):
-            e = psi(k, g, zeta)
-            if e.has_log:
-                return False, f"surviving log term at k={k}, g={g}, zeta={zeta}"
+    bad = [f"{tag} k={k}, g={g}, zeta={zeta}" for g, zeta in pairs
+           for tag, k, what in psi_defects(g, zeta) if what == "keeps a log term"]
+    if bad:
+        return False, f"surviving log term in {bad[0]}"
     return True, "k <= 6 over 5 rational parameter pairs"
 
 
 def _check_mode_agreement() -> tuple[bool, str]:
-    settings = [
-        (1.0, 0.0, Fraction(1), Fraction(-1, 8)),
-        (2.0, 0.125, Fraction(4), Fraction(0)),
-        (0.5, -1.0, Fraction(1, 4), Fraction(-9, 8)),
-    ]
+    nodes = [-0.999 + (1.0 - -0.999) * i / 32 for i in range(33)]
     worst = 0.0
-    for gamma, xi, g, zeta in settings:
-        chain = spectral_chain("legendre", gamma, xi, 3)
-        for k in (1, 2, 3):
-            sym = psi(k, g, zeta)
-            for i in range(33):
-                v = -0.999 + (1.0 - -0.999) * i / 32
-                sv = chain[k].eval(v)
-                yv = sym.eval(gamma, v)
-                worst = max(worst, abs(sv - yv) / max(1.0, abs(yv)))
+    for gamma, xi in ((1.0, 0.0), (2.0, 0.125), (0.5, -1.0)):
+        for sv, yv in mode_samples(gamma, xi, nodes).values():
+            worst = max(worst, float(np.max(np.abs(sv - yv) / np.maximum(1.0, np.abs(yv)))))
     ok = worst <= 1e-12
     return ok, f"worst symbolic/spectral gap {worst:.2e} (33-point grid, 3 settings)"
 
@@ -185,18 +258,9 @@ def _check_prefactor_product() -> tuple[bool, str]:
     return ok, f"I/K prefactors multiply to t/(2n), worst gap {worst:.2e}"
 
 
-def _bessel_wronskian_residual(n: int, lam: float, m: int) -> float:
-    vals = {
-        kind: eval_bessel(BesselParams(n, lam, m, kind)).value
-        for kind in ("I", "K", "dI", "dK")
-    }
-    return abs((vals["dI"] * vals["K"] - vals["dK"] * vals["I"]) * (n * lam) - 1.0)
-
-
 def _check_bessel_wronskian() -> tuple[bool, str]:
-    res = [_bessel_wronskian_residual(n, 2.0, 3) for n in (4, 8, 16, 32)]
-    ok = all(b < a for a, b in zip(res, res[1:]))
-    return ok, "residuals " + ", ".join(f"{r:.2e}" for r in res)
+    res = [bessel_series_wronskian(n, 2.0, 3) for n in (4, 8, 16, 32)]
+    return decreasing(res), "residuals " + ", ".join(f"{r:.2e}" for r in res)
 
 
 def _check_order_improvement() -> tuple[bool, str]:
@@ -220,9 +284,9 @@ def _check_order_improvement() -> tuple[bool, str]:
         ]
         terms = eval_bessel(BesselParams(n, lam, 3, kind)).terms
         mags = [abs(t) for t in terms]
-        if not all(b < a for a, b in zip(mags, mags[1:])):
+        if not decreasing(mags):
             return False, f"{kind}: term magnitudes not decreasing {mags}"
-    ok_k = all(b < a for a, b in zip(errs["K"], errs["K"][1:]))
+    ok_k = decreasing(errs["K"])
     ok_i = errs["I"][3] < errs["I"][0]
     if not ok_k:
         return False, f"K: errors {errs['K']}"
@@ -246,11 +310,11 @@ def _check_n_scaling() -> tuple[bool, str]:
 # -- legendre ----------------------------------------------------------------
 
 def _check_psi_endpoint() -> tuple[bool, str]:
-    for g, zeta in ((Fraction(1), Fraction(-1, 8)), (Fraction(7, 3), Fraction(2, 5))):
-        for k in range(1, 7):
-            for e in (psi(k, g, zeta), psi_bar(k, g, zeta)):
-                if not e.value_at_one().is_zero:
-                    return False, f"nonzero endpoint at k={k}, g={g}"
+    pairs = ((Fraction(1), Fraction(-1, 8)), (Fraction(7, 3), Fraction(2, 5)))
+    bad = [f"{tag} k={k}, g={g}" for g, zeta in pairs
+           for tag, k, what in psi_defects(g, zeta) if what == "nonzero at v=1"]
+    if bad:
+        return False, f"nonzero endpoint in {bad[0]}"
     return True, "exact zero at v=1 for both series, k <= 6, 2 parameter pairs"
 
 
@@ -284,32 +348,14 @@ def _check_eta_profile() -> tuple[bool, str]:
     return ok, f"two arrangements of the exponent profile agree to {worst:.2e}"
 
 
-def _legendre_wronskian_residual(n: int, m: int) -> float:
-    gamma, xi, x = 1.0, 0.0, math.cos(0.1)
-    vals = {
-        kind: eval_legendre(LegendreParams(n, gamma, xi, x, m, kind)).value
-        for kind in ("p", "q", "dp", "dq")
-    }
-    w = n * (vals["p"] * vals["dq"] - vals["dp"] * vals["q"]) * (1 - x * x)
-    return abs(w - 1.0)
-
-
 def _check_expansion_wronskian() -> tuple[bool, str]:
-    res = [_legendre_wronskian_residual(n, 3) for n in (4, 8, 16)]
-    ok = all(b < a for a, b in zip(res, res[1:]))
-    return ok, "residuals " + ", ".join(f"{r:.2e}" for r in res)
+    x = math.cos(0.1)
+    res = [legendre_series_wronskian(n, 1.0, 0.0, x, 3) for n in (4, 8, 16)]
+    return decreasing(res), "residuals " + ", ".join(f"{r:.2e}" for r in res)
 
 
 def _check_bessel_form_agreement() -> tuple[bool, str]:
-    n, lam, theta, xi, m = 8, 2.0, 0.1, 0.0, 3
-    gamma = lam / math.sin(theta)
-    x = math.cos(theta)
-    worst = 0.0
-    for kind in ("p", "q", "dp", "dq"):
-        a = eval_legendre(LegendreParams(n, gamma, xi, x, m, kind), scaled=True)
-        b = eval_bessel_form(n, lam, theta, xi, m, kind, scaled=True)
-        ratio = math.exp(a.log_scale - b.log_scale) * a.value / b.value
-        worst = max(worst, abs(ratio - 1.0))
+    worst = max(abs(bessel_form_gap(8, 2.0, 0.1, 0.0, 3, kind)[0]) for kind in LEGENDRE_KINDS)
     ok = worst <= 1e-5
     return ok, f"factorial-form vs profile-form worst ratio gap {worst:.2e}"
 
@@ -332,14 +378,8 @@ def _check_cross_relation() -> tuple[bool, str]:
 # -- oracle ------------------------------------------------------------------
 
 def _check_oracle_wronskian() -> tuple[bool, str]:
-    cfg = orc.OracleConfig(dps=40)
-    worst = 0.0
-    for n, gamma, xi, xs in (
-        (4, 1.0, 0.0, (-0.5, 0.0, 0.5, 0.9)),
-        (4, 2.0, 0.125, (0.5,)),
-    ):
-        for x in xs:
-            worst = max(worst, orc.legendre_wronskian_residual(n, gamma, xi, x, cfg))
+    points = [(4, 1.0, 0.0, x) for x in (-0.5, 0.0, 0.5, 0.9)] + [(4, 2.0, 0.125, 0.5)]
+    worst = oracle_wronskian_worst(points, orc.OracleConfig(dps=40))
     ok = worst <= 1e-10
     return ok, f"worst residual {worst:.2e}"
 
@@ -382,13 +422,9 @@ def _check_realness() -> tuple[bool, str]:
 
 
 def _check_limit_gaps() -> tuple[bool, str]:
-    cfg = orc.OracleConfig(dps=40)
-    a = orc.limit_check_bessel(4, 1.0, 1e-1, cfg)
-    b = orc.limit_check_bessel(4, 1.0, 1e-2, cfg)
-    ok = b.p_gap < a.p_gap and b.q_gap < a.q_gap
-    return ok, (
-        f"p gap {a.p_gap:.2e} -> {b.p_gap:.2e}, q gap {a.q_gap:.2e} -> {b.q_gap:.2e}"
-    )
+    p, q = limit_gaps(4, 1.0, (1e-1, 1e-2), orc.OracleConfig(dps=40))
+    ok = decreasing(p) and decreasing(q)
+    return ok, f"p gap {p[0]:.2e} -> {p[1]:.2e}, q gap {q[0]:.2e} -> {q[1]:.2e}"
 
 
 SUITES: dict[str, list[tuple[str, object]]] = {

@@ -10,13 +10,13 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from fractions import Fraction
 
 from . import oracle as orc
 from .bessel import BESSEL_KINDS, BesselParams, eval_bessel
-from .coeff import CoeffExpr
 from .errors import DomainError, IntegrityError, PrecisionError, ResolutionError, UsageError
-from .legendre import LEGENDRE_KINDS, LegendreParams, eval_legendre, exact_params, mu_of
+from .legendre import LEGENDRE_KINDS, LegendreParams, eval_legendre, mu_of
 from .recurrences import (
     K_MAX,
     omega,
@@ -102,44 +102,34 @@ def _cmd_eval(args) -> int:
         ev = eval_bessel(
             BesselParams(args.n, args.lam, args.order, args.kind), scaled=args.scaled
         )
-        payload = {
-            "value": ev.value,
-            "log_scale": ev.log_scale,
-            "terms": list(ev.terms),
-            "t": ev.t,
-            "eta": ev.eta,
-        }
-        if args.as_json:
-            print(json.dumps(payload))
-        else:
-            _print_plain(payload)
-        return 0
-
-    if args.kind not in LEGENDRE_KINDS:
-        return _reject(f"--kind must be one of {LEGENDRE_KINDS} for legendre")
-    if args.x is None:
-        return _reject("--x is required for the legendre family")
-    if (args.gamma is None) == (args.lam is None):
-        return _reject("give exactly one of --gamma or --lambda")
-    if args.gamma is not None:
-        gamma = args.gamma
+        names, extra = ("t", "eta"), {}
     else:
-        sin2 = 1.0 - args.x * args.x
-        if sin2 <= 0:
-            raise DomainError("|x| must be < 1 to derive gamma from lambda")
-        gamma = args.lam / math.sqrt(sin2)
-    ev = eval_legendre(
-        LegendreParams(args.n, gamma, args.xi, args.x, args.order, args.kind),
-        scaled=args.scaled,
-    )
-    mu = mu_of(args.n, gamma, args.xi)
+        if args.kind not in LEGENDRE_KINDS:
+            return _reject(f"--kind must be one of {LEGENDRE_KINDS} for legendre")
+        if args.x is None:
+            return _reject("--x is required for the legendre family")
+        if (args.gamma is None) == (args.lam is None):
+            return _reject("give exactly one of --gamma or --lambda")
+        if args.gamma is not None:
+            gamma = args.gamma
+        else:
+            sin2 = 1.0 - args.x * args.x
+            if sin2 <= 0:
+                raise DomainError("|x| must be < 1 to derive gamma from lambda")
+            gamma = args.lam / math.sqrt(sin2)
+        ev = eval_legendre(
+            LegendreParams(args.n, gamma, args.xi, args.x, args.order, args.kind),
+            scaled=args.scaled,
+        )
+        mu = mu_of(args.n, gamma, args.xi)
+        names, extra = ("v", "S"), {"mu": {"re": mu.real, "im": mu.imag}}
     payload = {
         "value": ev.value,
         "log_scale": ev.log_scale,
         "terms": list(ev.terms),
-        "v": ev.v,
-        "S": ev.s,
-        "mu": {"re": mu.real, "im": mu.imag},
+        names[0]: ev.arg,
+        names[1]: ev.profile,
+        **extra,
     }
     if args.as_json:
         print(json.dumps(payload))
@@ -271,13 +261,21 @@ def _cmd_check(args) -> int:
     return 0 if all_ok else 1
 
 
-def _join_rational_flags(argv: list[str]) -> list[str]:
-    """Fold `--g -1/8` into `--g=-1/8` so argparse accepts negative rationals."""
+# Flags whose value may start with "-": argparse would read "-1e-05",
+# "-inf" or "-1/8" after them as an option.
+_VALUE_FLAGS = (
+    "--g", "--zeta", "--lambda", "--gamma", "--xi", "--x",
+    "--theta", "--lambda-min", "--lambda-max",
+)
+
+
+def _join_value_flags(argv: list[str]) -> list[str]:
+    """Fold `--x -1e-05` into `--x=-1e-05` so argparse accepts negative values."""
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in ("--g", "--zeta") and i + 1 < len(argv):
+        if tok in _VALUE_FLAGS and i + 1 < len(argv):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:
@@ -286,11 +284,7 @@ def _join_rational_flags(argv: list[str]) -> list[str]:
     return out
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    args = parser.parse_args(_join_rational_flags(list(argv)))
+def _run(args) -> int:
     try:
         if args.command == "eval":
             return _cmd_eval(args)
@@ -308,6 +302,22 @@ def main(argv: list[str] | None = None) -> int:
     except IntegrityError as exc:
         print(f"integrity error: {exc}", file=sys.stderr)
         return 3
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    args = parser.parse_args(_join_value_flags(list(argv)))
+    # Warnings are held back and printed one line each after a success, so
+    # that a failing command prints its error line alone.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = _run(args)
+    if rc == 0:
+        for msg in dict.fromkeys(str(w.message) for w in caught):
+            print(f"warning: {msg}", file=sys.stderr)
+    return rc
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import warnings
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .errors import DomainError, UsageError
 from .exact import ExactScalar, frac_from_str, frac_to_str
@@ -246,17 +246,22 @@ class CoeffExpr:
         if gamma < 0.05:
             # 1/gamma^2 factors make floating cancellation delicate here.
             warnings.warn(f"gamma = {gamma} is small; expect cancellation loss")
-        gf = float(self.g)
+        # Horner in v within each (l, b) group, groups in canonical order.
+        groups: dict[tuple[int, int], dict[int, float]] = {}
+        try:
+            gf = float(self.g)
+            for (a, b, l), c in self._terms.items():
+                groups.setdefault((l, b), {})[a] = float(c)
+        except OverflowError:
+            raise DomainError(
+                f"g or a coefficient exceeds the float range at gamma = {gamma}"
+            ) from None
         if abs(gamma * gamma - gf) > EVAL_GAMMA_TOL * max(1.0, abs(gf)):
             raise UsageError(
                 f"gamma^2 = {gamma * gamma!r} does not match g = {gf!r}"
             )
         d = math.atan(gamma) - math.atan(gamma * v)
         lv = math.log1p(gamma * gamma * v * v)
-        # Horner in v within each (l, b) group, groups in canonical order.
-        groups: dict[tuple[int, int], dict[int, float]] = {}
-        for (a, b, l), c in self._terms.items():
-            groups.setdefault((l, b), {})[a] = float(c)
         total = 0.0
         for (l, b) in sorted(groups):
             poly = groups[(l, b)]
@@ -337,12 +342,3 @@ class CoeffExpr:
     def __repr__(self) -> str:
         return f"CoeffExpr(g={self.g}, zeta={self.zeta}, {self.render_text()})"
 
-
-def scaled_diff(expr: CoeffExpr) -> CoeffExpr:
-    """Module-level alias for CoeffExpr.scaled_diff."""
-    return expr.scaled_diff()
-
-
-def expr_eval(expr: CoeffExpr, gamma: float, v: float) -> float:
-    """Module-level alias for CoeffExpr.eval."""
-    return expr.eval(gamma, v)

@@ -21,14 +21,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .bessel import t_of_lambda
+from .bessel import KIND_TABLE, SeriesEval, assemble, check_request, t_of_lambda
 from .errors import DomainError, UsageError
 from .recurrences import (
-    K_MAX,
     omega,
     psi,
     psi_bar,
@@ -38,8 +36,9 @@ from .recurrences import (
 
 LEGENDRE_KINDS = ("p", "q", "dp", "dq")
 
-_LOG_HUGE = 700.0
-_SMALL_GAMMA_WARN = 0.05
+# Legendre kind -> (Bessel kind whose flags and prefactor it shares, sign).
+# The signs differ from the Bessel ones: dp is negative, dq positive.
+AS_BESSEL = {"p": ("I", 1.0), "q": ("K", 1.0), "dp": ("dI", -1.0), "dq": ("dK", 1.0)}
 
 
 def exact_params(gamma: float, xi: float) -> tuple[Fraction, Fraction]:
@@ -56,23 +55,12 @@ def _check_finite_params(gamma: float, xi: float) -> None:
         raise DomainError(f"xi must be finite, got {xi}")
 
 
-def _check_gamma(gamma: float) -> None:
-    if gamma <= 0:
-        raise DomainError(f"gamma must be positive, got {gamma}")
-    if gamma < _SMALL_GAMMA_WARN:
-        warnings.warn(
-            f"gamma = {gamma} is small; coefficient formulas carry 1/gamma^2 "
-            "factors whose floating cancellation is delicate",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-
 def v_of_x(x: float, gamma: float) -> float:
     """Argument map v = x/sqrt(1 + gamma^2 (1 - x^2)); odd, |v| <= |x| < 1."""
     if not -1.0 < x < 1.0:
         raise DomainError(f"x must satisfy |x| < 1, got {x}")
-    _check_gamma(gamma)
+    if gamma <= 0:
+        raise DomainError(f"gamma must be positive, got {gamma}")
     return x / math.sqrt(1.0 + gamma * gamma * (1.0 - x * x))
 
 
@@ -80,7 +68,14 @@ def mu_of(n: int, gamma: float, xi: float) -> complex:
     """Index mu = -1/2 + sqrt(1 - 8 xi - 4 n^2 gamma^2)/2 (principal root)."""
     if n < 1:
         raise DomainError(f"order n must be a positive integer, got {n}")
-    disc = 1.0 - 8.0 * xi - 4.0 * (n * gamma) ** 2
+    try:
+        disc = 1.0 - 8.0 * xi - 4.0 * (n * gamma) ** 2
+    except OverflowError:
+        disc = -math.inf
+    if not math.isfinite(disc):
+        raise DomainError(
+            f"mu is outside the float range at n = {n}, gamma = {gamma}, xi = {xi}"
+        )
     if disc >= 0.0:
         return complex(-0.5 + 0.5 * math.sqrt(disc), 0.0)
     root = cmath.sqrt(complex(disc, 0.0))
@@ -97,10 +92,12 @@ def S_minus1(v: float, gamma: float) -> float:
     """
     if not -1.0 < v < 1.0:
         raise DomainError(f"v must satisfy |v| < 1, got {v}")
-    _check_gamma(gamma)
-    return 0.5 * math.log(
-        (1.0 - v) / ((1.0 + v) * (1.0 + gamma * gamma))
-    ) - gamma * (math.atan(gamma * v) - math.atan(gamma))
+    if gamma <= 0:
+        raise DomainError(f"gamma must be positive, got {gamma}")
+    ratio = (1.0 - v) / ((1.0 + v) * (1.0 + gamma * gamma))
+    if not 0.0 < ratio < math.inf:
+        raise DomainError(f"S is outside the float range at v = {v}, gamma = {gamma}")
+    return 0.5 * math.log(ratio) - gamma * (math.atan(gamma * v) - math.atan(gamma))
 
 
 @dataclass(frozen=True)
@@ -115,94 +112,35 @@ class LegendreParams:
     kind: str = "p"
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise DomainError(f"order n must be a positive integer, got {self.n}")
+        check_request(self.n, self.m, self.kind, LEGENDRE_KINDS)
         _check_finite_params(self.gamma, self.xi)
         if not -1.0 < self.x < 1.0:
             raise DomainError(f"x must satisfy |x| < 1, got {self.x}")
-        if not 0 <= self.m <= K_MAX:
-            raise UsageError(f"truncation m = {self.m} outside [0, {K_MAX}]")
-        if self.kind not in LEGENDRE_KINDS:
-            raise UsageError(
-                f"kind must be one of {LEGENDRE_KINDS}, got {self.kind!r}"
-            )
 
 
-@dataclass(frozen=True)
-class LegendreEval:
-    """Assembled value: value * exp(log_scale or 0) is the function value."""
-
-    value: float
-    log_scale: float | None
-    terms: list[float] = field(default_factory=list)
-    v: float = 0.0
-    s: float = 0.0
-
-    @property
-    def scaled(self) -> bool:
-        return self.log_scale is not None
-
-    def unscaled(self) -> float:
-        if self.log_scale is None:
-            return self.value
-        return self.value * math.exp(self.log_scale)
-
-
-def _assemble(
-    log_pref: float,
-    sign: float,
-    terms: list[float],
-    v: float,
-    s: float,
-    scaled: bool,
-) -> LegendreEval:
-    series = math.fsum(terms)
-    if scaled or abs(log_pref) > _LOG_HUGE:
-        return LegendreEval(sign * series, log_pref, terms, v, s)
-    return LegendreEval(sign * series * math.exp(log_pref), None, terms, v, s)
-
-
-def eval_legendre(p: LegendreParams, scaled: bool = False) -> LegendreEval:
+def eval_legendre(p: LegendreParams, scaled: bool = False) -> SeriesEval:
     """Evaluate the truncated uniform expansion described by params.
 
     Derivative kinds dp/dq approximate the n-scaled derivative (1/n)*d/dx,
     so n*[p*dq - dp*q]*(1-x^2) tends to 1.
     """
-    n, gamma, xi, m = p.n, p.gamma, p.xi, p.m
-    g, zeta = exact_params(gamma, xi)
+    n, gamma = p.n, p.gamma
+    g, zeta = exact_params(gamma, p.xi)
     v = v_of_x(p.x, gamma)
     s = S_minus1(v, gamma)
     gg = gamma * gamma
     ratio_log = math.log((1.0 + gg * v * v) / (1.0 + gg))
+    bessel_kind, sign = AS_BESSEL[p.kind]
+    _, second, deriv, _ = KIND_TABLE[bessel_kind]
 
-    if p.kind == "p":
-        log_pref = -math.lgamma(n + 1) + 0.25 * ratio_log + n * s
-        sign, base, coeff = 1.0, float(n), psi
-    elif p.kind == "q":
-        log_pref = math.lgamma(n) - math.log(2.0) + 0.25 * ratio_log - n * s
-        sign, base, coeff = 1.0, float(-n), psi
-    elif p.kind == "dp":
-        log_pref = (
-            -math.lgamma(n + 1)
-            + 0.75 * ratio_log
-            + math.log((1.0 + gg) / (1.0 - v * v))
-            + n * s
-        )
-        sign, base, coeff = -1.0, float(n), psi_bar
-    else:  # dq
-        log_pref = (
-            math.lgamma(n)
-            - math.log(2.0)
-            + 0.75 * ratio_log
-            + math.log((1.0 + gg) / (1.0 - v * v))
-            - n * s
-        )
-        sign, base, coeff = 1.0, float(-n), psi_bar
-
-    terms = [
-        coeff(k, g, zeta).eval(gamma, v) * base ** (-k) for k in range(m + 1)
-    ]
-    return _assemble(log_pref, sign, terms, v, s, scaled)
+    log_pref = math.lgamma(n) - math.log(2.0) if second else -math.lgamma(n + 1)
+    log_pref += (0.75 if deriv else 0.25) * ratio_log
+    if deriv:
+        log_pref += math.log((1.0 + gg) / (1.0 - v * v))
+    log_pref = log_pref - n * s if second else log_pref + n * s
+    coeff = psi_bar if deriv else psi
+    return assemble(log_pref, sign, float(-n if second else n),
+                    lambda k: coeff(k, g, zeta).eval(gamma, v), p.m, v, s, scaled)
 
 
 def _check_cone(lam: float, theta: float) -> None:
@@ -254,7 +192,7 @@ def eval_bessel_form(
     m: int = 3,
     kind: str = "p",
     scaled: bool = False,
-) -> LegendreEval:
+) -> SeriesEval:
     """Evaluate the Bessel-like rearrangement on the cone parametrization.
 
     Assembled mechanically from the plain expansion plus the exact
@@ -262,16 +200,12 @@ def eval_bessel_form(
     coefficients are the Bernoulli-corrected psi_k^+ (psibar_k^+ for the
     derivative kinds, whose sums start at k = 0 and whose q-line carries
     the inverse power, making the two entry points rearrangements of the
-    same series).  Agrees with eval_legendre at gamma = lam/sin(theta),
-    x = cos(theta) to relative O(n^-(m+1)).
+    same series).  The prefactors are those of I, K, dI, dK with ln(lam)
+    replaced by 2 ln(sin theta).  Agrees with eval_legendre at
+    gamma = lam/sin(theta), x = cos(theta) to relative O(n^-(m+1)).
     """
     _check_cone(lam, theta)
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"order n must be a positive integer, got {n}")
-    if not 0 <= m <= K_MAX:
-        raise UsageError(f"truncation m = {m} outside [0, {K_MAX}]")
-    if kind not in LEGENDRE_KINDS:
-        raise UsageError(f"kind must be one of {LEGENDRE_KINDS}, got {kind!r}")
+    check_request(n, m, kind, LEGENDRE_KINDS)
 
     gamma = lam / math.sin(theta)
     g, zeta = exact_params(gamma, xi)
@@ -279,32 +213,13 @@ def eval_bessel_form(
     v = t * math.cos(theta)
     s = S_minus1(v, gamma)
     expo = n * (s + 1.0 - math.log(n))
-
-    if kind == "p":
-        log_pref = 0.5 * math.log(t / (2.0 * math.pi * n)) + expo
-        sign, base, coeff = 1.0, float(n), psi_plus
-    elif kind == "q":
-        log_pref = 0.5 * math.log(math.pi * t / (2.0 * n)) - expo
-        sign, base, coeff = 1.0, float(-n), psi_plus
-    elif kind == "dp":
-        log_pref = (
-            -0.5 * math.log(2.0 * math.pi * n * t)
-            - 2.0 * math.log(math.sin(theta))
-            + expo
-        )
-        sign, base, coeff = -1.0, float(n), psi_bar_plus
-    else:  # dq
-        log_pref = (
-            0.5 * math.log(math.pi / (2.0 * n * t))
-            - 2.0 * math.log(math.sin(theta))
-            - expo
-        )
-        sign, base, coeff = 1.0, float(-n), psi_bar_plus
-
-    terms = [
-        coeff(k, g, zeta).eval(gamma, v) * base ** (-k) for k in range(m + 1)
-    ]
-    return _assemble(log_pref, sign, terms, v, s, scaled)
+    bessel_kind, sign = AS_BESSEL[kind]
+    _, second, deriv, prefactor = KIND_TABLE[bessel_kind]
+    pre = prefactor(n, t, 2.0 * math.log(math.sin(theta)) if deriv else 0.0)
+    log_pref = pre - expo if second else pre + expo
+    coeff = psi_bar_plus if deriv else psi_plus
+    return assemble(log_pref, sign, float(-n if second else n),
+                    lambda k: coeff(k, g, zeta).eval(gamma, v), m, v, s, scaled)
 
 
 @dataclass(frozen=True)

@@ -26,14 +26,20 @@ from uniasym import (
     eta,
     eta_tilde,
     eval_legendre,
-    limit_check_bessel,
     p_reference,
     q_reference,
 )
-from uniasym.legendre import eval_bessel_form
-from uniasym.oracle import legendre_wronskian_residual
+from uniasym.checks import (
+    bessel_form_gap,
+    decreasing,
+    legendre_series_wronskian,
+    limit_gaps,
+    mode_samples,
+    oracle_wronskian_worst,
+    psi_defects,
+)
 from uniasym.recurrences import omega, omega_bar, psi, psi_bar, psi_plus
-from uniasym.spectral import lobatto_nodes, spectral_chain
+from uniasym.spectral import lobatto_nodes
 
 from closed_forms import closed_omega, closed_omega_bar, closed_psi, closed_psi_bar
 
@@ -100,14 +106,11 @@ def test_criterion_03_turning_point_polynomials():
 
 
 def test_criterion_04_endpoint_and_log_invariants():
-    bad = []
-    for g, zeta in random_pairs(5, seed=57):
-        for k in range(1, 7):
-            for tag, e in (("plain", psi(k, g, zeta)), ("bar", psi_bar(k, g, zeta))):
-                if not e.value_at_one().is_zero:
-                    bad.append(f"{tag} k={k} nonzero at v=1 for g={g}")
-                if e.has_log:
-                    bad.append(f"{tag} k={k} keeps a log term for g={g}")
+    bad = [
+        f"{tag} k={k} {what} for g={g}"
+        for g, zeta in random_pairs(5, seed=57)
+        for tag, k, what in psi_defects(g, zeta)
+    ]
     report(4, "endpoint-and-log-invariants", not bad, "; ".join(bad[:3]))
 
 
@@ -199,40 +202,23 @@ def test_criterion_06_convergence_rate_in_n():
 
 
 def test_criterion_07_wronskian_suite():
-    cfg = OracleConfig(dps=40)
-    worst = max(
-        legendre_wronskian_residual(n, gamma, xi, x, cfg)
-        for n, gamma, xi in ((4, 1.0, 0.0), (4, 2.0, 0.125))
-        for x in (-0.5, 0.5, 0.9)
+    worst = oracle_wronskian_worst(
+        [(4, gamma, xi, x) for gamma, xi in ((1.0, 0.0), (2.0, 0.125)) for x in (-0.5, 0.5, 0.9)],
+        OracleConfig(dps=40),
     )
-    residuals = []
-    x = math.cos(0.1)
-    for n in (4, 8, 16):
-        vals = {
-            kind: eval_legendre(LegendreParams(n, 1.0, 0.0, x, 3, kind)).value
-            for kind in ("p", "q", "dp", "dq")
-        }
-        w = n * (vals["p"] * vals["dq"] - vals["dp"] * vals["q"]) * (1 - x * x)
-        residuals.append(abs(w - 1.0))
-    decreasing = all(b < a for a, b in zip(residuals, residuals[1:]))
-    report(7, "wronskian-suite", worst <= 1e-10 and decreasing,
+    residuals = [legendre_series_wronskian(n, 1.0, 0.0, math.cos(0.1), 3) for n in (4, 8, 16)]
+    report(7, "wronskian-suite", worst <= 1e-10 and decreasing(residuals),
            f"oracle residual <= {worst:.1e}; truncated-series residuals "
            + ", ".join(f"{r:.2e}" for r in residuals))
 
 
 def test_criterion_08_bessel_limit():
-    cfg = OracleConfig(dps=60)
     thetas = (1e-2, 1e-3, 1e-4)
     eta_one = eta(1.0)
     eta_ok = abs(eta_one - 0.5328399) <= 1e-6
     eta_gaps = [abs(eta_tilde(1.0, th) - eta_one) for th in thetas]
-    reps = [limit_check_bessel(4, 1.0, th, cfg) for th in thetas]
-    p_gaps = [r.p_gap for r in reps]
-    q_gaps = [r.q_gap for r in reps]
-    mono = all(
-        all(b < a for a, b in zip(seq, seq[1:]))
-        for seq in (eta_gaps, p_gaps, q_gaps)
-    )
+    p_gaps, q_gaps = limit_gaps(4, 1.0, thetas, OracleConfig(dps=60))
+    mono = all(decreasing(seq) for seq in (eta_gaps, p_gaps, q_gaps))
     report(8, "bessel-limit", eta_ok and mono,
            f"eta(1)={eta_one:.7f}; gaps eta {eta_gaps[0]:.1e}->{eta_gaps[-1]:.1e}, "
            f"p {p_gaps[0]:.1e}->{p_gaps[-1]:.1e}, q {q_gaps[0]:.1e}->{q_gaps[-1]:.1e}")
@@ -240,32 +226,22 @@ def test_criterion_08_bessel_limit():
 
 def test_criterion_09_mode_agreement():
     vv = lobatto_nodes(33, -0.999)
-    worst = 0.0
-    for gamma, xi in ((1.0, 0.0), (2.0, 0.125), (0.5, -1.0)):
-        chain = spectral_chain("legendre", gamma, xi, 3)
-        g = Fraction(gamma).limit_denominator() ** 2
-        zeta = Fraction(xi).limit_denominator() - Fraction(1, 8)
-        for k in (1, 2, 3):
-            sym = psi(k, g, zeta)
-            gap = max(
-                abs(chain[k].eval(v) - sym.eval(gamma, v)) for v in vv
-            )
-            worst = max(worst, gap)
+    worst = max(
+        float(max(abs(sv - yv)))
+        for gamma, xi in ((1.0, 0.0), (2.0, 0.125), (0.5, -1.0))
+        for sv, yv in mode_samples(gamma, xi, vv).values()
+    )
     report(9, "mode-agreement", worst <= 1e-12,
            f"grid-sampled vs symbolic worst gap {worst:.2e} on 33 nodes")
 
 
 def test_criterion_10_rearranged_form_consistency():
-    n, lam, theta, xi, m = 8, 2.0, 0.1, 0.0, 3
-    gamma = lam / math.sin(theta)
-    x = math.cos(theta)
+    m = 3
     gaps = []
     for kind in ("p", "q", "dp", "dq"):
-        a = eval_legendre(LegendreParams(n, gamma, xi, x, m, kind), scaled=True)
-        b = eval_bessel_form(n, lam, theta, xi, m, kind, scaled=True)
-        ratio = math.exp(a.log_scale - b.log_scale) * a.value / b.value
+        gap, a = bessel_form_gap(8, 2.0, 0.1, 0.0, m, kind)
         bound = 10.0 * abs(a.terms[m]) / abs(math.fsum(a.terms))
-        gaps.append((kind, abs(ratio - 1.0), bound))
+        gaps.append((kind, abs(gap), bound))
     ok = all(gap < bound for _, gap, bound in gaps)
     report(10, "rearranged-form-consistency", ok,
            "; ".join(f"{k}: {gap:.1e} < {bound:.1e}" for k, gap, bound in gaps))

@@ -19,6 +19,7 @@ from uniasym import (
     OracleConfig,
     t_of_lambda,
 )
+from uniasym.checks import bessel_series_wronskian, decreasing
 
 CFG = OracleConfig(dps=40)
 
@@ -147,15 +148,8 @@ def test_log_prefactors_cancel_exactly_in_product():
 
 
 def test_wronskian_residual_decreases_with_n():
-    def residual(n: int) -> float:
-        vals = {
-            k: eval_bessel(BesselParams(n, 2.0, 3, k)).value
-            for k in ("I", "K", "dI", "dK")
-        }
-        return abs((vals["dI"] * vals["K"] - vals["dK"] * vals["I"]) * (n * 2.0) - 1.0)
-
-    res = [residual(n) for n in (4, 8, 16, 32)]
-    assert all(b < a for a, b in zip(res, res[1:]))
+    res = [bessel_series_wronskian(n, 2.0, 3) for n in (4, 8, 16, 32)]
+    assert decreasing(res)
     assert res[-1] < 1e-8
 
 

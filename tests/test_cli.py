@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -10,9 +12,13 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uniasym import BesselParams, LegendreParams, eval_bessel, eval_legendre
+from uniasym.bessel import BESSEL_KINDS
 from uniasym.cli import main
+from uniasym.legendre import LEGENDRE_KINDS
 from uniasym.coeff import CoeffExpr
 from uniasym.recurrences import psi
 
@@ -120,8 +126,21 @@ def test_eval_flag_misuse_is_usage_error(capsys):
     (["errtable", "--theta", "0.3", "--n", "4",
       "--lambda-min", "1", "--lambda-max", "2", "--steps", "2"],
      {"UNIASYM_ORACLE_DPS": "4.5"}, 2),
+    (["eval", "--family", "legendre", "--kind", "p", "--n", "4", "--x", "0.5",
+      "--gamma", "3.3e250"], {}, 1),
+    (["eval", "--family", "legendre", "--kind", "p", "--n", "4", "--x", "0.5",
+      "--gamma", "1e154"], {}, 1),
+    (["eval", "--family", "legendre", "--kind", "p", "--n", "4", "--x", "0.5",
+      "--gamma", "9.9e-200"], {}, 1),
+    (["eval", "--family", "legendre", "--kind", "p", "--n", "4", "--x", "0.5",
+      "--gamma", "1e-80", "--order", "6"], {}, 1),
+    (["eval", "--family", "bessel", "--kind", "I", "--n", "1000000",
+      "--lambda", "1e303", "--json"], {}, 1),
+    (["eval", "--family", "bessel", "--kind", "I", "--n", "1" + "0" * 400,
+      "--lambda", "2"], {}, 1),
 ], ids=["bessel-lambda-nan", "legendre-lambda-nan", "gamma-nan", "gamma-inf",
-        "xi-nan", "theta-nan", "dps-env-not-int"])
+        "xi-nan", "theta-nan", "dps-env-not-int", "S-overflow", "mu-overflow",
+        "coeff-overflow", "coeff-overflow-m6", "log-scale-overflow", "order-too-large"])
 def test_non_finite_input_is_one_line_error(argv, env, code):
     proc = subprocess.run(
         [sys.executable, "-m", "uniasym", *argv],
@@ -132,6 +151,49 @@ def test_non_finite_input_is_one_line_error(argv, env, code):
     assert proc.stderr.startswith("error:")
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stdout == ""
+
+
+# Magnitudes over the whole range: uniform in the exponent, plus the
+# edge-heavy float draws hypothesis makes by itself.
+MAGNITUDES = st.one_of(
+    st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e),
+    st.floats(1e-300, 1e300),
+)
+OPEN_UNIT = st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def eval_argvs(draw):
+    family = draw(st.sampled_from(("bessel", "legendre")))
+    kinds = BESSEL_KINDS if family == "bessel" else LEGENDRE_KINDS
+    argv = ["eval", "--family", family, "--kind", draw(st.sampled_from(kinds)),
+            "--n", str(draw(st.integers(1, 10**6))),
+            "--order", str(draw(st.integers(0, 6))), "--json"]
+    if family == "bessel":
+        argv += ["--lambda", repr(draw(MAGNITUDES))]
+    else:
+        argv += [draw(st.sampled_from(("--gamma", "--lambda"))), repr(draw(MAGNITUDES)),
+                 "--xi", repr(draw(OPEN_UNIT)), "--x", repr(draw(OPEN_UNIT))]
+    if draw(st.booleans()):
+        argv.append("--scaled")
+    return argv
+
+
+@settings(deadline=None, max_examples=60)
+@given(eval_argvs())
+def test_eval_gives_finite_json_or_one_line_error(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    if rc == 0:
+        payload = json.loads(out.getvalue())
+        assert math.isfinite(payload["value"])
+        assert payload["log_scale"] is None or math.isfinite(payload["log_scale"])
+    else:
+        assert rc in (1, 2, 3)
+        assert out.getvalue() == ""
+        assert "error: " in err.getvalue()
+        assert len(err.getvalue().splitlines()) == 1
 
 
 def test_eval_domain_error_exit(capsys):
@@ -283,6 +345,24 @@ def test_check_oracle_suite(capsys):
     rc, out, _ = run_cli(capsys, "check", "--suite", "oracle")
     assert rc == 0
     assert "wronskian_residual<=1e-10: pass" in out
+
+
+ALL_CHECKS = [
+    "field_axioms_sample", "antiderivative_rules", "log_cancellation_k<=6",
+    "mode_agreement_spectral", "omega_closed_forms", "omega_degree_parity",
+    "prefactor_product", "wronskian_residual_decreasing", "order_improvement_oracle",
+    "n_scaling_window", "psi_endpoint_zero", "psi1_closed_form",
+    "eta_profile_consistency", "expansion_wronskian_decreasing", "bessel_form_agreement",
+    "cross_relation_magnitudes", "wronskian_residual<=1e-10", "p_ode_residual<=1e-25",
+    "q_methods_agree<=1e-25", "bessel_cross_wronskian", "realness_certificate",
+    "limit_gap_shrinks",
+]
+
+
+def test_check_all_prints_every_check_in_order(capsys):
+    rc, out, _ = run_cli(capsys, "check", "--suite", "all")
+    assert rc == 0
+    assert out.splitlines() == [f"{name}: pass" for name in ALL_CHECKS]
 
 
 def test_check_unknown_suite_is_usage_error(capsys):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uniasym import CoeffExpr, DomainError, ExactScalar, UsageError, expr_eval
+from uniasym import CoeffExpr, DomainError, ExactScalar, UsageError
 from uniasym.recurrences import psi
 
 G, Z = Fraction(2), Fraction(1, 3)
@@ -162,12 +162,6 @@ def test_eval_warns_for_tiny_gamma():
     e = CoeffExpr.one(Fraction(1, 10000), Z)
     with pytest.warns(UserWarning):
         e.eval(0.01, 0.0)
-
-
-def test_expr_eval_helper_matches_method():
-    e = psi(2, Fraction(2), Fraction(0))
-    gamma = math.sqrt(2.0)
-    assert expr_eval(e, gamma, 0.25) == e.eval(gamma, 0.25)
 
 
 # -- structure queries ------------------------------------------------------

@@ -18,13 +18,13 @@ from uniasym import (
     eta,
     eta_tilde,
     eta_tilde_from_profile,
-    eval_bessel_form,
     eval_legendre,
     exact_params,
     mu_of,
     p_reference,
     q_reference,
 )
+from uniasym.checks import bessel_form_gap, legendre_series_wronskian
 from uniasym.legendre import S_minus1, v_of_x
 
 CFG = OracleConfig(dps=40)
@@ -172,15 +172,7 @@ def test_endpoint_leading_behavior():
 
 def test_asymptotic_wronskian_residual_decreases():
     # W_3(n) = n [p dq - dp q] (1 - x^2) -> 1
-    x = math.cos(0.1)
-    res = []
-    for n in (4, 8, 16):
-        e = {
-            kind: eval_legendre(LegendreParams(n, 1.0, 0.0, x, 3, kind)).value
-            for kind in ("p", "q", "dp", "dq")
-        }
-        w = n * (e["p"] * e["dq"] - e["dp"] * e["q"]) * (1 - x * x)
-        res.append(abs(w - 1.0))
+    res = [legendre_series_wronskian(n, 1.0, 0.0, math.cos(0.1), 3) for n in (4, 8, 16)]
     assert res[0] > res[1] > res[2]
     assert res[2] < 1e-6
 
@@ -213,27 +205,14 @@ def test_eta_tilde_approaches_bessel_exponent():
 
 
 def test_bessel_form_agrees_with_direct_expansion():
-    n, lam, theta = 8, 2.0, 0.1
-    gamma = lam / math.sin(theta)
-    x = math.cos(theta)
     for kind in ("p", "q", "dp", "dq"):
-        a = eval_legendre(LegendreParams(n, gamma, 0.0, x, 3, kind), scaled=True)
-        b = eval_bessel_form(n, lam, theta, 0.0, 3, kind, scaled=True)
-        ratio = math.exp(a.log_scale - b.log_scale) * a.value / b.value
-        assert abs(ratio - 1.0) < 1e-5
+        assert abs(bessel_form_gap(8, 2.0, 0.1, 0.0, 3, kind)[0]) < 1e-5
 
 
 def test_bessel_form_m0_gap_is_stirling_remainder():
     # At m=0 the two arrangements differ by the unexpanded factorial
     # correction, so ratio-1 ~ -1/(12n) and halves when n doubles.
-    gaps = {}
-    for n in (8, 16):
-        a = eval_legendre(
-            LegendreParams(n, 2.0 / math.sin(0.1), 0.0, math.cos(0.1), 0, "p"),
-            scaled=True,
-        )
-        b = eval_bessel_form(n, 2.0, 0.1, 0.0, 0, "p", scaled=True)
-        gaps[n] = math.exp(a.log_scale - b.log_scale) * a.value / b.value - 1.0
+    gaps = {n: bessel_form_gap(n, 2.0, 0.1, 0.0, 0, "p")[0] for n in (8, 16)}
     for n, gap in gaps.items():
         assert gap == pytest.approx(-1.0 / (12 * n), rel=0.1)
     assert gaps[8] / gaps[16] == pytest.approx(2.0, rel=0.05)

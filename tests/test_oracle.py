@@ -18,12 +18,12 @@ from uniasym import (
     p_reference,
     q_reference,
 )
+from uniasym.checks import limit_gaps, oracle_wronskian_worst
 from uniasym.oracle import (
     ORACLE_DPS_ENV,
     besselI_ode_residual,
     besselK_ode_residual,
     default_config,
-    legendre_wronskian_residual,
     p_ode_residual,
     p_reference_paths,
     q_methods_gap,
@@ -105,8 +105,8 @@ def test_q_endpoint_asymptote():
     "n,gamma,xi", [(1, 1.0, 0.0), (4, 1.0, 0.0), (4, 2.0, 0.125)]
 )
 def test_wronskian_identity_grid(n, gamma, xi):
-    for x in (-0.9, -0.5, 0.0, 0.5, 0.9, 0.995):
-        assert legendre_wronskian_residual(n, gamma, xi, x, CFG) <= 1e-10
+    xs = (-0.9, -0.5, 0.0, 0.5, 0.9, 0.995)
+    assert oracle_wronskian_worst([(n, gamma, xi, x) for x in xs], CFG) <= 1e-10
 
 
 @pytest.mark.parametrize("n,gamma,xi,x", [(4, 1.0, 0.0, 0.5), (4, 2.0, 0.125, -0.3)])
@@ -208,11 +208,11 @@ def test_bessel_ode_residuals():
 def test_limit_gaps_shrink_with_theta():
     # Both gaps are O(theta^2): each step of 10 in theta cuts them by 100.
     # At theta = 1e-4 this needs cos theta beyond double precision.
-    reports = [limit_check_bessel(4, 1.0, th, CFG) for th in (1e-2, 1e-3, 1e-4)]
-    for wide, narrow in zip(reports, reports[1:]):
-        assert wide.p_gap / narrow.p_gap == pytest.approx(100.0, rel=0.02)
-        assert wide.q_gap / narrow.q_gap == pytest.approx(100.0, rel=0.02)
-    assert reports[0].p_gap < 1e-3
+    p_gaps, q_gaps = limit_gaps(4, 1.0, (1e-2, 1e-3, 1e-4), CFG)
+    for gaps in (p_gaps, q_gaps):
+        for wide, narrow in zip(gaps, gaps[1:]):
+            assert wide / narrow == pytest.approx(100.0, rel=0.02)
+    assert p_gaps[0] < 1e-3
 
 
 def test_limit_check_finite_and_same_sign_at_n1():

@@ -15,6 +15,7 @@ from uniasym import (
     spectral_chain,
     spectral_step,
 )
+from uniasym.checks import mode_samples
 from uniasym.recurrences import psi
 from uniasym.spectral import DEFAULT_V_LO, MIN_NODES, TAIL_TOL, lobatto_nodes
 
@@ -98,11 +99,9 @@ def test_legendre_step_matches_symbolic_first_order():
 
 @pytest.mark.parametrize("gamma,xi", MODE_SETTINGS)
 def test_mode_agreement_through_third_order(gamma, xi):
-    chain = spectral_chain("legendre", gamma, xi, 3)
     vv = lobatto_nodes(33, DEFAULT_V_LO)
-    for k in (1, 2, 3):
-        gap = np.abs(chain[k].eval(vv) - symbolic_samples(k, gamma, xi, vv))
-        assert np.max(gap) <= 1e-12
+    for sv, yv in mode_samples(gamma, xi, vv).values():
+        assert np.max(np.abs(sv - yv)) <= 1e-12
 
 
 def test_legendre_endpoint_is_exact_zero():
