@@ -407,7 +407,7 @@ def _check_bessel_cross_wronskian() -> tuple[bool, str]:
     kv = orc.besselK_reference(n, z, cfg)
     res = abs(float(z * (iv.derivative * kv.value - kv.derivative * iv.value) - 1))
     ok = res <= 1e-30
-    return ok, f"series-I vs quadrature-K Wronskian residual {res:.2e}"
+    return ok, f"series-I vs series-K Wronskian residual {res:.2e}"
 
 
 def _check_realness() -> tuple[bool, str]:

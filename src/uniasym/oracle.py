@@ -5,8 +5,9 @@ evaluation of the first Legendre-type solution p (complex arithmetic with
 a realness certificate), the second solution q = c p(-x) with the
 constant c in closed form and p(-x) from the Gauss series at -x or, near
 x = 1, from the logarithmic connection series, the ascending series for
-I_n, and tanh-sinh quadrature for K_n.  Everything runs in
-arbitrary-precision arithmetic with explicit error estimates.  Orders of
+I_n, and the integer-order series for K_n (DLMF 10.31.1).  Everything
+runs in arbitrary-precision arithmetic; every series stops at a relative
+tail of 10^-dps and reports it as its error estimate.  Orders of
 magnitude slower than the expansion evaluators, by design.
 """
 
@@ -15,10 +16,11 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import mpmath as mp
 
-from .errors import DomainError, IntegrityError, PrecisionError, UsageError
+from .errors import DomainError, PrecisionError, UsageError
 
 ORACLE_DPS_ENV = "UNIASYM_ORACLE_DPS"
 
@@ -32,19 +34,18 @@ class OracleConfig:
     """Precision policy for all reference computations."""
 
     dps: int = 60
-    series_tol: float = 1e-40
     max_terms: int = 2_000_000
-    ode_tol: float | None = None
 
     def __post_init__(self):
         if self.dps < 30:
             raise UsageError(f"oracle precision must be >= 30 digits, got {self.dps}")
-        if self.series_tol <= 0:
-            raise UsageError("series tolerance must be positive")
         if self.max_terms < 1:
             raise UsageError("max_terms must be positive")
-        if self.ode_tol is not None and self.ode_tol <= 0:
-            raise UsageError("ODE tolerance must be positive")
+
+    @property
+    def tol(self) -> mp.mpf:
+        """Relative tail at which every series stops: 10^-dps."""
+        return mp.mpf(10) ** (-self.dps)
 
 
 def default_config() -> OracleConfig:
@@ -109,18 +110,14 @@ def _mu_mpc(n: int, gamma, xi) -> mp.mpc:
     return mp.mpc(-0.5, 0) + root / 2
 
 
-class _GaussSeries:
+class _GaussSeries(NamedTuple):
     """Accumulated F, F', F'' of F(-mu, mu+1; n+1; z) at fixed z."""
 
-    __slots__ = ("f", "fz", "fzz", "tail_rel", "imag_rel", "terms_used")
-
-    def __init__(self, f, fz, fzz, tail_rel, imag_rel, terms_used):
-        self.f = f
-        self.fz = fz
-        self.fzz = fzz
-        self.tail_rel = tail_rel
-        self.imag_rel = imag_rel
-        self.terms_used = terms_used
+    f: mp.mpf
+    fz: mp.mpf
+    fzz: mp.mpf
+    tail_rel: float
+    imag_rel: float
 
 
 def _gauss_series(
@@ -135,7 +132,7 @@ def _gauss_series(
     z = (1 - mp.mpf(x)) / 2
     s = (n * mp.mpf(gamma)) ** 2 + 2 * mp.mpf(xi)
     safe_j = math.isqrt(int(max(0.0, -float(s)))) + 2
-    tol = mp.mpf(cfg.series_tol)
+    tol = cfg.tol
 
     if complex_path:
         mu = _mu_mpc(n, gamma, xi)
@@ -177,8 +174,8 @@ def _gauss_series(
         imag_rel = float(
             (abs(f.imag) + abs(fz.imag) / (1 + abs(fz))) / scale
         )
-        return _GaussSeries(f.real, fz.real, fzz.real, tail_rel, imag_rel, j)
-    return _GaussSeries(f, fz, fzz, tail_rel, 0.0, j)
+        return _GaussSeries(f.real, fz.real, fzz.real, tail_rel, imag_rel)
+    return _GaussSeries(f, fz, fzz, tail_rel, 0.0)
 
 
 def _p_parts(n: int, gamma, xi, x, cfg: OracleConfig, complex_path: bool):
@@ -290,7 +287,7 @@ def _q_connection(n: int, gamma: float, xi: float, x, cfg: OracleConfig):
     with mp.extradps(guard):
         w = (1 - mp.mpf(x)) / 2
         s = (n * mp.mpf(gamma)) ** 2 + 2 * mp.mpf(xi)
-        tol = mp.mpf(cfg.series_tol) * mp.mpf(10) ** (-guard)
+        tol = cfg.tol * mp.mpf(10) ** (-guard)
         safe_k = math.isqrt(int(max(0.0, -float(s)))) + 2
 
         g = mp.mpf(0)
@@ -352,8 +349,7 @@ def _q_ode(n: int, gamma: float, xi: float, x, cfg: OracleConfig):
         coeff = (n * n) * gg + (n * n) / one_minus_t2 + 2 * xim
         return [sign * y[1], sign * (2 * t * y[1] + coeff * y[0]) / one_minus_t2]
 
-    tol = mp.mpf(cfg.ode_tol) if cfg.ode_tol else None
-    fn = mp.odefun(rhs, 0, [c * p0, -c * dp0], tol=tol)
+    fn = mp.odefun(rhs, 0, [c * p0, -c * dp0])
     val, der = fn(sign * x)
     return val, der
 
@@ -365,15 +361,13 @@ def q_reference(
     x,
     cfg: OracleConfig | None = None,
     method: str = "auto",
-    cross_validate: bool = False,
 ) -> OracleValue:
     """Second-kind reference value q(x) = c p(-x), c in closed form.
 
     method: "reflection" (Gauss series at -x; default for x <= 0.9),
     "connection" (series about x = 1; default beyond), or "ode" (Taylor
     transport from 0).  x may be a float or an mpf carried at working
-    precision.  With cross_validate=True the result is re-derived by ODE
-    transport and the two must agree to 1e-25 (IntegrityError otherwise).
+    precision.
     """
     cfg = cfg or default_config()
     _validate_point(n, gamma, xi, x)
@@ -390,16 +384,6 @@ def q_reference(
         else:
             value, deriv = _q_ode(n, gamma, xi, x, cfg)
             err = 10.0 ** (-(cfg.dps - 10))
-
-        if cross_validate and method != "ode":
-            vdps = min(cfg.dps, 35)
-            with mp.workdps(vdps + 10):
-                ode_val, _ = _q_ode(n, gamma, xi, x, cfg)
-            gap = float(abs(ode_val - value) / abs(value))
-            if gap > 1e-25:
-                raise IntegrityError(
-                    f"q constructions disagree: relative gap {gap:.3e}"
-                )
         return OracleValue(+value, +deriv, err)
 
 
@@ -413,137 +397,114 @@ def q_methods_gap(n: int, gamma: float, xi: float, x: float, cfg: OracleConfig |
 
 # -- modified Bessel references -------------------------------------------
 
-def besselI_reference(n: int, z: float, cfg: OracleConfig | None = None) -> OracleValue:
-    """I_n(z) by the ascending series, derivative term-wise in the same loop."""
-    cfg = cfg or default_config()
-    if n < 0:
-        raise DomainError(f"order must be nonnegative, got {n}")
-    if z < 0:
-        raise DomainError(f"argument must be nonnegative, got {z}")
-    if z == 0:
-        # series constant term; I_n'(0) = 1/2 for n = 1, else 0
-        return OracleValue(
-            mp.mpf(1 if n == 0 else 0), mp.mpf(0.5 if n == 1 else 0), 0.0
-        )
-    guard = max(10, int(float(z) / math.log(10.0)) + 10)
+def _derivs(c, e, zm) -> list:
+    """A term c = a z^e followed by its first two z-derivatives."""
+    d1 = c * e / zm
+    return [c, d1, d1 * (e - 1) / zm]
+
+
+def _ascending(n: int, zm, tol, cfg: OracleConfig):
+    """One pass of the series in t_k = (z/2)^(n+2k) / (k! (n+k)!).
+
+    Returns [I, I', I''] (DLMF 10.25.2), [S, S', S''] for the weighted sum
+    S = sum (psi(k+1) + psi(n+k+1)) t_k of DLMF 10.31.1, and the last term
+    with its weight.  The terms are positive; they stop at tol relative to
+    the partial I.
+    """
+    quarter = zm * zm / 4
+    t = (zm / 2) ** n / mp.factorial(n)
+    w = mp.harmonic(n) - 2 * mp.euler  # psi(1) + psi(n+1)
+    i = _derivs(t, n, zm)
+    s = [w * v for v in i]
+    for k in range(1, cfg.max_terms + 1):
+        t *= quarter / (k * (n + k))
+        w += mp.mpf(n + 2 * k) / (k * (n + k))  # 1/k + 1/(n+k)
+        for j, dt in enumerate(_derivs(t, n + 2 * k, zm)):
+            i[j] += dt
+            s[j] += w * dt
+        if t <= tol * i[0]:
+            return i, s, t, w
+    raise PrecisionError("ascending Bessel series did not converge within budget")
+
+
+def _besselK_series(n: int, z: float, cfg: OracleConfig):
+    """[K_n, K_n', K_n''] and the relative tail by DLMF 10.31.1,
+
+        K_n = (1/2) sum_{k<n} (n-k-1)!/k! (-z^2/4)^k (z/2)^(-n)
+              + (-1)^n (S/2 - ln(z/2) I_n).
+
+    I_n grows like e^z while K_n falls like e^-z, so the parts cancel by
+    about e^(2z): that many guard digits go on the working precision and
+    on the stop tolerance.
+    """
+    guard = int(2 * z / math.log(10.0)) + 10
     with mp.workdps(cfg.dps + guard):
         zm = mp.mpf(z)
-        half = zm / 2
-        term = half**n / mp.factorial(n)
-        total = term
-        dtotal = term * n / zm
-        tol = mp.mpf(cfg.series_tol)
-        j = 0
-        while True:
-            term = term * half * half / ((j + 1) * (n + j + 1))
-            j += 1
-            total += term
-            dtotal += term * (n + 2 * j) / zm
-            if term <= tol * total:
-                break
-            if j >= cfg.max_terms:
-                raise PrecisionError("I-series did not converge within budget")
-        return OracleValue(+total, +dtotal, float(term / total))
+        i, s, t, w = _ascending(n, zm, cfg.tol * mp.mpf(10) ** (-guard), cfg)
+        ln_half = mp.log(zm / 2)
+        ln_i = [ln_half * i[0], ln_half * i[1] + i[0] / zm,
+                ln_half * i[2] + (2 * i[1] - i[0] / zm) / zm]
+        sign = -1 if n % 2 else 1
+        k_n = [sign * (sv / 2 - lv) for sv, lv in zip(s, ln_i)]
+        c = mp.factorial(n - 1) / (zm / 2) ** n / 2 if n else 0
+        for k in range(n):
+            if k:
+                c *= -zm * zm / (4 * k * (n - k))
+            for j, dc in enumerate(_derivs(c, 2 * k - n, zm)):
+                k_n[j] += dc
+        return k_n, float(t * (abs(ln_half) + abs(w)) / k_n[0])
 
 
-def _besselK_quad(n: int, zm, cfg: OracleConfig):
-    """Integrate exp(-z cosh t) cosh(n t) over [0, T] with a bounded tail.
+def _check_order_and_argument(n: int, z: float) -> None:
+    if n < 0:
+        raise DomainError(f"order must be nonnegative, got {n}")
+    if not (z > 0 and math.isfinite(z)):
+        raise DomainError(f"argument must be positive and finite, got {z}")
 
-    T satisfies z (cosh T - 1) - n T >= (dps + 20) ln 10, so the dropped
-    tail is below the reporting precision relative to exp(-z) <= K_n(z).
-    The factor exp(-z) is taken out before integrating: mp.quad stops on
-    an absolute error test, which an integrand of size exp(-z) would pass
-    at once.
-    """
-    z = float(zm)
-    need = (cfg.dps + 20) * math.log(10.0)
-    t_top = math.acosh(1.0 + need / z)
-    for _ in range(4):
-        t_top = math.acosh(1.0 + (need + n * t_top) / z)
-    integrand = lambda t: mp.exp(zm - zm * mp.cosh(t)) * mp.cosh(n * t)
-    split = min(t_top / 2, math.asinh(n / z) + 1.0)
-    val, err = mp.quad(integrand, [0, split, t_top], error=True)
-    # bound on the part of the integral past T
-    tail = mp.exp(zm - zm * mp.cosh(t_top) + n * t_top) / zm
-    scale = mp.exp(-zm)
-    val, err = scale * val, scale * (err + tail)
-    if not mp.isfinite(val) or (val > 0 and err / val > mp.mpf(10) ** (-cfg.dps // 2)):
-        raise PrecisionError(f"K quadrature failed to converge (err {err})")
-    return val, err
+
+def _bessel_ode_residual(n: int, z: float, w) -> float:
+    """Relative residual of [w, w', w''] in w'' + w'/z - (1 + n^2/z^2) w = 0."""
+    zm = mp.mpf(z)
+    parts = (w[2], w[1] / zm, -(1 + (n / zm) ** 2) * w[0])
+    return float(abs(mp.fsum(parts)) / mp.fsum(parts, absolute=True))
+
+
+def besselI_reference(n: int, z: float, cfg: OracleConfig | None = None) -> OracleValue:
+    """I_n(z) by the ascending series, derivative term-wise in the same pass."""
+    cfg = cfg or default_config()
+    if z == 0 and n >= 0:  # the series' constant term; I_1'(0) = 1/2
+        return OracleValue(mp.mpf(n == 0), mp.mpf(0.5 if n == 1 else 0), 0.0)
+    _check_order_and_argument(n, z)
+    # positive terms: ten guard digits cover the rounding of the sum
+    with mp.workdps(cfg.dps + 10):
+        (i, di, _), _, t, _ = _ascending(n, mp.mpf(z), cfg.tol, cfg)
+        return OracleValue(i, di, float(t / i))
 
 
 def besselK_reference(n: int, z: float, cfg: OracleConfig | None = None) -> OracleValue:
-    """K_n(z) by tanh-sinh quadrature of exp(-z cosh t) cosh(n t).
-
-    The derivative uses K'_n = -(K_(n-1) + K_(n+1))/2 via two more
-    quadratures of the same integral family.
-    """
+    """K_n(z) and K_n'(z) by the integer-order series DLMF 10.31.1, the
+    derivative term-wise in the same pass; err_estimate is its tail."""
     cfg = cfg or default_config()
-    if n < 0:
-        raise DomainError(f"order must be nonnegative, got {n}")
-    if z <= 0:
-        raise DomainError(f"argument must be positive, got {z}")
-    with mp.workdps(cfg.dps + 10):
-        zm = mp.mpf(z)
-        val, err = _besselK_quad(n, zm, cfg)
-        km, em = _besselK_quad(abs(n - 1), zm, cfg)
-        kp, ep = _besselK_quad(n + 1, zm, cfg)
-        deriv = -(km + kp) / 2
-        rel = float((err + em + ep) / val)
-        return OracleValue(+val, +deriv, rel)
+    _check_order_and_argument(n, z)
+    (value, deriv, _), err = _besselK_series(n, z, cfg)
+    return OracleValue(value, deriv, err)
 
 
 def besselI_ode_residual(n: int, z: float, cfg: OracleConfig | None = None) -> float:
     """Relative residual of the I-series in w'' + w'/z - (1 + n^2/z^2) w = 0."""
     cfg = cfg or default_config()
-    if z <= 0:
-        raise DomainError(f"argument must be positive, got {z}")
-    guard = max(10, int(float(z) / math.log(10.0)) + 10)
-    with mp.workdps(cfg.dps + guard):
-        zm = mp.mpf(z)
-        half = zm / 2
-        term = half**n / mp.factorial(n)
-        f = term
-        f1 = term * n / zm
-        f2 = term * n * (n - 1) / (zm * zm)
-        tol = mp.mpf(cfg.series_tol)
-        j = 0
-        while True:
-            term = term * half * half / ((j + 1) * (n + j + 1))
-            j += 1
-            a = n + 2 * j
-            f += term
-            f1 += term * a / zm
-            f2 += term * a * (a - 1) / (zm * zm)
-            if term <= tol * f:
-                break
-            if j >= cfg.max_terms:
-                raise PrecisionError("I-series did not converge within budget")
-        residual = f2 + f1 / zm - (1 + (n / zm) ** 2) * f
-        scale = abs(f2) + abs(f1 / zm) + abs((1 + (n / zm) ** 2) * f)
-        return float(abs(residual) / scale)
+    _check_order_and_argument(n, z)
+    with mp.workdps(cfg.dps + 10):
+        return _bessel_ode_residual(n, z, _ascending(n, mp.mpf(z), cfg.tol, cfg)[0])
 
 
 def besselK_ode_residual(n: int, z: float, cfg: OracleConfig | None = None) -> float:
-    """Residual of the quadrature K-family in the same equation.
-
-    Second derivative via K'' = (K_(n-2) + 2 K_n + K_(n+2))/4, making the
-    check a mutual-consistency certificate across five quadratures.
-    """
+    """Residual in the same equation of the K-series of DLMF 10.31.1, whose
+    value and two derivatives all come term-wise from one pass at any z."""
     cfg = cfg or default_config()
-    if z <= 0:
-        raise DomainError(f"argument must be positive, got {z}")
+    _check_order_and_argument(n, z)
     with mp.workdps(cfg.dps + 10):
-        zm = mp.mpf(z)
-        ks = {}
-        for k in (n - 2, n - 1, n, n + 1, n + 2):
-            ks[k], _ = _besselK_quad(abs(k), zm, cfg)
-        f = ks[n]
-        f1 = -(ks[n - 1] + ks[n + 1]) / 2
-        f2 = (ks[n - 2] + 2 * ks[n] + ks[n + 2]) / 4
-        residual = f2 + f1 / zm - (1 + (n / zm) ** 2) * f
-        scale = abs(f2) + abs(f1 / zm) + abs((1 + (n / zm) ** 2) * f)
-        return float(abs(residual) / scale)
+        return _bessel_ode_residual(n, z, _besselK_series(n, z, cfg)[0])
 
 
 def legendre_wronskian_residual(

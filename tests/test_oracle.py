@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import ast
 import math
+from pathlib import Path
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uniasym import (
     DomainError,
@@ -18,6 +22,7 @@ from uniasym import (
     p_reference,
     q_reference,
 )
+from uniasym import oracle
 from uniasym.checks import limit_gaps, oracle_wronskian_worst
 from uniasym.oracle import (
     ORACLE_DPS_ENV,
@@ -39,8 +44,6 @@ def test_config_validation():
     with pytest.raises(UsageError):
         OracleConfig(dps=20)
     with pytest.raises(UsageError):
-        OracleConfig(series_tol=0.0)
-    with pytest.raises(UsageError):
         OracleConfig(max_terms=0)
 
 
@@ -49,6 +52,24 @@ def test_config_env_override(monkeypatch):
     assert default_config().dps == 45
     monkeypatch.delenv(ORACLE_DPS_ENV)
     assert default_config().dps == 60
+
+
+def test_oracle_is_independent_of_the_evaluators():
+    # The oracle grades the expansion evaluators, so it must not import them;
+    # and it computes in closed form, so it calls no quadrature.
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    modules, calls = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            modules.add((node.module or "").rpartition(".")[2])
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            modules.update(alias.name.rpartition(".")[2] for alias in node.names)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            calls.add(func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", ""))
+    assert not modules & {"legendre", "bessel", "coeff", "recurrences"}
+    assert not [name for name in calls if name.startswith("quad")]
 
 
 def test_point_validation():
@@ -68,6 +89,8 @@ def test_series_budget_surfaces_precision_error():
     tiny = OracleConfig(dps=30, max_terms=10)
     with pytest.raises(PrecisionError):
         p_reference(8, 5.0, 0.0, 0.5, tiny)
+    with pytest.raises(PrecisionError):
+        besselK_reference(4, 8.0, tiny)
 
 
 # -- first-kind solution ---------------------------------------------------------
@@ -140,10 +163,14 @@ def test_q_constant_matches_wronskian_pin(n, gamma, xi):
         assert float(abs(c - pin) / abs(pin)) < 1e-30
 
 
-def test_q_cross_validation_path():
-    val = q_reference(4, 1.0, 0.0, 0.5, OracleConfig(dps=35), cross_validate=True)
-    ref = q_reference(4, 1.0, 0.0, 0.5, CFG)
-    assert float(abs(val.value - ref.value) / abs(ref.value)) < 1e-25
+def test_q_routes_agree_to_working_precision():
+    # Every series stops at a relative tail of 10^-dps, so at 80 digits the
+    # two q routes must agree far beyond 40 digits at the near-axis point.
+    cfg = OracleConfig(dps=80)
+    n, gamma, x = 4, 2.0 / math.sin(0.1), math.cos(0.1)
+    a = q_reference(n, gamma, 0.0, x, cfg, method="reflection")
+    b = q_reference(n, gamma, 0.0, x, cfg, method="connection")
+    assert float(abs(a.value - b.value) / abs(a.value)) <= 1e-75
 
 
 # -- modified Bessel oracles -------------------------------------------------------
@@ -165,15 +192,35 @@ def test_besselI_recurrence_identity():
     assert float(resid) < 1e-30
 
 
+def _besselK_gaps(n: int, z: float, cfg: OracleConfig) -> tuple[float, float]:
+    """Relative gaps of value and derivative against mpmath, the derivative
+    as K_n' = -(K_(n-1) + K_(n+1))/2."""
+    kv = besselK_reference(n, z, cfg)
+    with mp.workdps(cfg.dps):
+        ref = mp.besselk(n, z)
+        dref = -(mp.besselk(n - 1, z) + mp.besselk(n + 1, z)) / 2
+        return float(abs(kv.value - ref) / ref), float(abs(kv.derivative - dref) / abs(dref))
+
+
 def test_besselK_positive():
-    # At z = n lambda >= 128 the quadrature must have exp(-z) scaled out:
-    # mp.quad's absolute error test passes an integrand that small at once.
-    for n, z in ((1, 0.5), (4, 8.0), (16, 40.0), (16, 128.0), (32, 128.0),
-                 (4, 200.0), (4, 1000.0)):
-        val = besselK_reference(n, z, CFG).value
-        assert val > 0
-        with mp.workdps(CFG.dps):
-            assert float(abs(val - mp.besselk(n, z)) / val) < 1e-35
+    # A relative gap below 1 to mpmath's K > 0 also makes the value positive.
+    # The series' guard digits grow like 2z/ln 10, so (4, 1000) takes about
+    # 2 s on a first call.  Besides the old points: n = 0, which has no
+    # finite sum, and n >= z at 60 digits, the paper's uniform regime.
+    points = [(40, n, z, 1e-35) for n, z in (
+        (1, 0.5), (4, 8.0), (16, 40.0), (16, 128.0), (32, 128.0), (4, 200.0), (4, 1000.0),
+        (0, 0.01), (0, 500.0))]
+    points += [(60, n, z, 1e-55) for n, z in (
+        (4, 8.0), (16, 80.0), (81, 81.0), (90, 90.0), (600, 100.0))]
+    for dps, n, z, bound in points:
+        assert max(_besselK_gaps(n, z, OracleConfig(dps=dps))) <= bound, (dps, n, z)
+
+
+# log-uniform z; the series' cost grows with z, so z stops at 200
+@settings(deadline=None, max_examples=30)
+@given(st.integers(0, 40), st.floats(math.log(1e-2), math.log(200.0)).map(math.exp))
+def test_besselK_matches_mpmath(n, z):
+    assert max(_besselK_gaps(n, z, CFG)) <= 1e-35
 
 
 def test_besselK_large_argument_asymptote():
@@ -198,8 +245,8 @@ def test_bessel_cross_wronskian():
 
 def test_bessel_ode_residuals():
     assert besselI_ode_residual(4, 8.0, CFG) < 1e-25
-    # K derivatives come from the order recurrence, so this residual is a
-    # mutual-consistency certificate rather than an independent check.
+    # K, K' and K'' come term by term from DLMF 10.31.1, so this residual
+    # checks its finite sum, ln-I part and digamma-weighted sum together.
     assert besselK_ode_residual(4, 8.0, CFG) < 1e-25
 
 
