@@ -185,6 +185,14 @@ def _cmd_coeffs(args) -> int:
     return 0
 
 
+def _float_ref(value) -> float:
+    """An oracle value as a float that a relative error can divide by."""
+    out = float(value)
+    if out == 0.0 or not math.isfinite(out):
+        raise DomainError(f"reference value {out} is outside the float range")
+    return out
+
+
 def _errtable_rows(args, orders: list[int]) -> tuple[list[str], bool]:
     """All CSV data rows in deterministic order; flag whether any oracle failed."""
     x = math.cos(args.theta)
@@ -199,8 +207,8 @@ def _errtable_rows(args, orders: list[int]) -> tuple[list[str], bool]:
             lam = args.lam_min + (args.lam_max - args.lam_min) * i / (args.steps - 1)
         gamma = lam / sin_t
         try:
-            p_ref = float(orc.p_reference(args.n, gamma, args.xi, x, cfg).value)
-            q_ref = float(orc.q_reference(args.n, gamma, args.xi, x, cfg).value)
+            p_ref = _float_ref(orc.p_reference(args.n, gamma, args.xi, x, cfg).value)
+            q_ref = _float_ref(orc.q_reference(args.n, gamma, args.xi, x, cfg).value)
         except (PrecisionError, DomainError):
             for m in orders:
                 rows.append(f"{lam:.17g},{m},nan,nan")
@@ -262,10 +270,10 @@ def _cmd_check(args) -> int:
 
 
 # Flags whose value may start with "-": argparse would read "-1e-05",
-# "-inf" or "-1/8" after them as an option.
+# "-inf", "-1/8" or "-1,0" after them as an option.
 _VALUE_FLAGS = (
     "--g", "--zeta", "--lambda", "--gamma", "--xi", "--x",
-    "--theta", "--lambda-min", "--lambda-max",
+    "--theta", "--lambda-min", "--lambda-max", "--orders",
 )
 
 

@@ -32,6 +32,14 @@ from .exact import ExactScalar, frac_from_str, frac_to_str
 MonKey = tuple[int, int, int]
 
 EVAL_GAMMA_TOL = 1e-12
+SMALL_GAMMA = 0.05
+
+
+def warn_small_gamma(gamma: float) -> None:
+    """Warn that float evaluation cancels below SMALL_GAMMA, where the
+    coefficients carry 1/gamma^2 factors; evaluators call this once."""
+    if 0.0 < gamma < SMALL_GAMMA:
+        warnings.warn(f"gamma = {gamma} is small; expect cancellation loss", stacklevel=3)
 
 
 def _canon_order(key: MonKey) -> tuple[int, int, int]:
@@ -240,12 +248,15 @@ class CoeffExpr:
     # -- evaluation ----------------------------------------------------------
 
     def eval(self, gamma: float, v: float) -> float:
-        """Numeric value at (gamma, v); gamma must match sqrt(g) to 1e-12."""
+        """Numeric value at (gamma, v); warns when gamma is small."""
+        warn_small_gamma(gamma)
+        return self.eval_quiet(gamma, v)
+
+    def eval_quiet(self, gamma: float, v: float) -> float:
+        """eval without the small-gamma warning, for callers that warn once
+        per request; gamma must match sqrt(g) to 1e-12."""
         if gamma <= 0.0:
             raise DomainError(f"gamma must be positive, got {gamma}")
-        if gamma < 0.05:
-            # 1/gamma^2 factors make floating cancellation delicate here.
-            warnings.warn(f"gamma = {gamma} is small; expect cancellation loss")
         # Horner in v within each (l, b) group, groups in canonical order.
         groups: dict[tuple[int, int], dict[int, float]] = {}
         try:

@@ -55,11 +55,12 @@ class ExactScalar:
             raise DomainError(f"field parameter g must be positive, got {g}")
         a = Fraction(a)
         b = Fraction(b)
-        root = rational_sqrt(g)
-        if root is not None and b != 0:
-            # sqrt(g) is rational: collapse to the canonical representation.
-            a += b * root
-            b = Fraction(0)
+        if b != 0:
+            root = rational_sqrt(g)
+            if root is not None:
+                # sqrt(g) is rational: collapse to the canonical representation.
+                a += b * root
+                b = Fraction(0)
         self.a = a
         self.b = b
         self.g = g

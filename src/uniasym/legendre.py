@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bessel import KIND_TABLE, SeriesEval, assemble, check_request, t_of_lambda
+from .coeff import warn_small_gamma
 from .errors import DomainError, UsageError
 from .recurrences import (
     omega,
@@ -139,8 +140,9 @@ def eval_legendre(p: LegendreParams, scaled: bool = False) -> SeriesEval:
         log_pref += math.log((1.0 + gg) / (1.0 - v * v))
     log_pref = log_pref - n * s if second else log_pref + n * s
     coeff = psi_bar if deriv else psi
+    warn_small_gamma(gamma)
     return assemble(log_pref, sign, float(-n if second else n),
-                    lambda k: coeff(k, g, zeta).eval(gamma, v), p.m, v, s, scaled)
+                    lambda k: coeff(k, g, zeta).eval_quiet(gamma, v), p.m, v, s, scaled)
 
 
 def _check_cone(lam: float, theta: float) -> None:
@@ -218,8 +220,9 @@ def eval_bessel_form(
     pre = prefactor(n, t, 2.0 * math.log(math.sin(theta)) if deriv else 0.0)
     log_pref = pre - expo if second else pre + expo
     coeff = psi_bar_plus if deriv else psi_plus
+    warn_small_gamma(gamma)
     return assemble(log_pref, sign, float(-n if second else n),
-                    lambda k: coeff(k, g, zeta).eval(gamma, v), m, v, s, scaled)
+                    lambda k: coeff(k, g, zeta).eval_quiet(gamma, v), m, v, s, scaled)
 
 
 @dataclass(frozen=True)

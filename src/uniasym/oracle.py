@@ -81,7 +81,26 @@ def _validate_point(n: int, gamma: float, xi: float, x) -> None:
 
 def _series_strength(n: int, gamma: float, xi: float) -> float:
     """The real combination (j - mu)(j + 1 + mu) - j(j+1) = n^2 g + 2 xi."""
-    return (n * gamma) ** 2 + 2.0 * xi
+    try:
+        s = (n * gamma) ** 2 + 2.0 * xi
+    except OverflowError:
+        s = math.inf
+    if not math.isfinite(s):
+        raise PrecisionError(
+            f"series strength n^2 g + 2 xi overflows at n = {n}, gamma = {gamma}, xi = {xi}"
+        )
+    return s
+
+
+def _safe_index(s, cfg: OracleConfig) -> int:
+    """Index past which the series terms keep one sign, j(j+1) > -s; no
+    stopping test may pass before it, so it must lie within the budget."""
+    safe = math.isqrt(int(max(0.0, -float(s)))) + 2
+    if safe >= cfg.max_terms:
+        raise PrecisionError(
+            f"series terms change sign up to j = {float(safe):.3g}, beyond {cfg.max_terms} terms"
+        )
+    return safe
 
 
 def _series_guard_digits(n: int, gamma: float, xi: float, x: float) -> int:
@@ -131,7 +150,7 @@ def _gauss_series(
     """
     z = (1 - mp.mpf(x)) / 2
     s = (n * mp.mpf(gamma)) ** 2 + 2 * mp.mpf(xi)
-    safe_j = math.isqrt(int(max(0.0, -float(s)))) + 2
+    safe_j = _safe_index(s, cfg)
     tol = cfg.tol
 
     if complex_path:
@@ -259,6 +278,16 @@ def _q_constant(n: int, gamma: float, xi: float):
     return mp.re(mp.gamma(n - mu) * mp.gamma(n + 1 + mu)) / 2
 
 
+def _check_q_index(n: int, gamma: float, xi: float) -> None:
+    """q = c p(-x) needs p(x) and p(-x) independent, which they are not
+    where mu - n is a nonnegative integer: c has a Gamma pole there."""
+    mu = _mu_mpc(n, gamma, xi)
+    if mu.imag == 0 and mu.real >= n and mp.isint(mu.real):
+        raise DomainError(
+            f"the constant c in q = c p(-x) has a Gamma pole at mu = {mp.nstr(mu.real, 8)}"
+        )
+
+
 def _q_reflection(n: int, gamma: float, xi: float, x, cfg: OracleConfig):
     """q = c p(-x) with p(-x) from the Gauss series at -x."""
     c = _q_constant(n, gamma, xi)
@@ -288,7 +317,7 @@ def _q_connection(n: int, gamma: float, xi: float, x, cfg: OracleConfig):
         w = (1 - mp.mpf(x)) / 2
         s = (n * mp.mpf(gamma)) ** 2 + 2 * mp.mpf(xi)
         tol = cfg.tol * mp.mpf(10) ** (-guard)
-        safe_k = math.isqrt(int(max(0.0, -float(s)))) + 2
+        safe_k = _safe_index(s, cfg)
 
         g = mp.mpf(0)
         dg = mp.mpf(0)
@@ -377,6 +406,7 @@ def q_reference(
         method = "reflection" if x <= _REFLECT_MAX else "connection"
 
     with mp.workdps(cfg.dps + 10):
+        _check_q_index(n, gamma, xi)
         if method == "reflection":
             value, deriv, err = _q_reflection(n, gamma, xi, x, cfg)
         elif method == "connection":

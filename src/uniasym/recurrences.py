@@ -34,10 +34,15 @@ from .coeff import CoeffExpr
 from .errors import IntegrityError, UsageError
 from .exact import ExactScalar
 
-# Default truncation depth; deeper chains only cost kernel time.
+# Deepest coefficient order that every series entry point serves.
 K_MAX = 6
 
 _BESSEL_G = Fraction(1)
+
+
+def _check_k(k: int) -> None:
+    if k < 0 or k > K_MAX:
+        raise UsageError(f"k = {k} outside [0, {K_MAX}]")
 
 
 # -- exact Stirling data -----------------------------------------------------
@@ -116,10 +121,9 @@ _omega_chain: list[CoeffExpr] = []
 _omega_bar_cache: dict[int, CoeffExpr] = {}
 
 
-def omega(k: int, k_max: int = K_MAX) -> CoeffExpr:
+def omega(k: int) -> CoeffExpr:
     """k-th Bessel-side coefficient polynomial (in t, rational coefficients)."""
-    if k < 0 or k > k_max:
-        raise UsageError(f"k = {k} outside [0, {k_max}]")
+    _check_k(k)
     with _omega_lock:
         if not _omega_chain:
             _omega_chain.append(CoeffExpr.one(_BESSEL_G, 0))
@@ -128,25 +132,24 @@ def omega(k: int, k_max: int = K_MAX) -> CoeffExpr:
         return _omega_chain[k]
 
 
-def omega_bar(k: int, k_max: int = K_MAX) -> CoeffExpr:
+def omega_bar(k: int) -> CoeffExpr:
     """Derivative-side Bessel polynomial: w_k + t(t^2-1)(w_{k-1}/2 + t w'_{k-1})."""
-    if k < 0 or k > k_max:
-        raise UsageError(f"k = {k} outside [0, {k_max}]")
+    _check_k(k)
     with _omega_lock:
         cached = _omega_bar_cache.get(k)
     if cached is not None:
         return cached
     if k == 0:
-        result = omega(0, k_max)
+        result = omega(0)
     else:
-        w_prev = omega(k - 1, k_max)
+        w_prev = omega(k - 1)
         g, zeta = w_prev.g, w_prev.zeta
         half_t3_minus_t = CoeffExpr.poly_v(
             g, zeta, {3: Fraction(1, 2), 1: Fraction(-1, 2)}
         )
         t4_minus_t2 = CoeffExpr.poly_v(g, zeta, {4: 1, 2: -1})
         result = (
-            omega(k, k_max)
+            omega(k)
             + half_t3_minus_t * w_prev
             + t4_minus_t2 * _poly_ddt(w_prev)
         )
@@ -374,14 +377,9 @@ def integrate_step_legendre(expr: CoeffExpr, g, zeta) -> CoeffExpr:
     return kern.step(expr)
 
 
-def _check_k(k: int, k_max: int) -> None:
-    if k < 0 or k > k_max:
-        raise UsageError(f"k = {k} outside [0, {k_max}]")
-
-
-def psi(k: int, g, zeta, k_max: int = K_MAX) -> CoeffExpr:
+def psi(k: int, g, zeta) -> CoeffExpr:
     """k-th Legendre-side coefficient function (exact, log-free)."""
-    _check_k(k, k_max)
+    _check_k(k)
     kern = _kernel(g, zeta)
     with kern._lock:
         while len(kern._psi) <= k:
@@ -389,7 +387,7 @@ def psi(k: int, g, zeta, k_max: int = K_MAX) -> CoeffExpr:
         return kern._psi[k]
 
 
-def psi_bar(k: int, g, zeta, k_max: int = K_MAX) -> CoeffExpr:
+def psi_bar(k: int, g, zeta) -> CoeffExpr:
     """Derivative-side Legendre coefficient.
 
     psibar_k = psi_k - g v (1-v^2)/(2(1+g)) psi_{k-1}
@@ -397,22 +395,22 @@ def psi_bar(k: int, g, zeta, k_max: int = K_MAX) -> CoeffExpr:
 
     with the last term formed in-basis from the scaled derivative.
     """
-    _check_k(k, k_max)
+    _check_k(k)
     kern = _kernel(g, zeta)
     with kern._lock:
         cached = kern._psi_bar.get(k)
         if cached is not None:
             return cached
     if k == 0:
-        result = psi(0, g, zeta, k_max)
+        result = psi(0, g, zeta)
     else:
-        prev = psi(k - 1, g, zeta, k_max)
+        prev = psi(k - 1, g, zeta)
         gf = kern.g
         one_minus_v2 = CoeffExpr.poly_v(gf, kern.zeta, {0: 1, 2: -1})
         v_term = prev.shift_v(1) * one_minus_v2
         d_term = prev.scaled_diff() * one_minus_v2
         result = (
-            psi(k, g, zeta, k_max)
+            psi(k, g, zeta)
             - v_term.scale(gf / (2 * (1 + gf)))
             - d_term.scale(Fraction(1) / (1 + gf))
         )
@@ -430,37 +428,37 @@ def _plus_combine(
     return acc
 
 
-def psi_plus(k: int, g, zeta, k_max: int = K_MAX) -> CoeffExpr:
+def psi_plus(k: int, g, zeta) -> CoeffExpr:
     """Legendre coefficient with the factorial correction series folded in.
 
     psiplus_k = sum_{i<=k} e_i psi_{k-i} with e_i the exact Stirling
     reciprocal coefficients; the sign-alternating series reuses the same
     combination because e_i carries parity (-1)^i under n -> -n.
     """
-    _check_k(k, k_max)
+    _check_k(k)
     kern = _kernel(g, zeta)
     with kern._lock:
         cached = kern._psi_plus.get(k)
         if cached is not None:
             return cached
     e = stirling_exp_coefficients(k)
-    chain = [psi(i, g, zeta, k_max) for i in range(k + 1)]
+    chain = [psi(i, g, zeta) for i in range(k + 1)]
     result = _plus_combine(chain, k, e)
     with kern._lock:
         kern._psi_plus[k] = result
     return result
 
 
-def psi_bar_plus(k: int, g, zeta, k_max: int = K_MAX) -> CoeffExpr:
+def psi_bar_plus(k: int, g, zeta) -> CoeffExpr:
     """Derivative-side analogue of psi_plus."""
-    _check_k(k, k_max)
+    _check_k(k)
     kern = _kernel(g, zeta)
     with kern._lock:
         cached = kern._psi_bar_plus.get(k)
         if cached is not None:
             return cached
     e = stirling_exp_coefficients(k)
-    chain = [psi_bar(i, g, zeta, k_max) for i in range(k + 1)]
+    chain = [psi_bar(i, g, zeta) for i in range(k + 1)]
     result = _plus_combine(chain, k, e)
     with kern._lock:
         kern._psi_bar_plus[k] = result

@@ -1,25 +1,30 @@
-"""Numeric fallback for the coefficient recurrences on a Chebyshev grid.
+"""Numeric cross-check of the coefficient recurrences in Chebyshev series.
 
-Mirrors the exact symbolic steps with spectral differentiation and
-anchored antidifferentiation on Chebyshev-Lobatto nodes; the rational
-factor 1/(1+g v^2) is sampled pointwise.  Used to cross-check the
-symbolic kernel, not to replace it.
+Each coefficient function is a Chebyshev series on [v_lo, 1].  The
+polynomial weights, the derivative and the anchored antiderivative act
+exactly on the coefficients; only f/(1 + g v^2) is resampled, once per
+Legendre step.  Its coefficients fall like rho^-j, rho the radius of the
+Bernstein ellipse through the pole v = i/gamma (Trefethen, Approximation
+Theory and Approximation Practice, Thm 8.1), so the degree that resolves
+it to machine precision follows from gamma and is never searched for.
+Used to cross-check the exact kernel, not to replace it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import chebyshev as _cheb
-from scipy.fft import dct
+from numpy.polynomial import Chebyshev
 
 from .errors import DomainError, ResolutionError, UsageError
 
-MIN_NODES = 32
-TAIL_TOL = 1e-13
+# Largest resampling degree; the pole bound reaches it near gamma = 110.
+MAX_DEGREE = 4096
 DEFAULT_V_LO = -0.999
 FAMILIES = ("bessel", "legendre")
+_DIGITS = math.log(1.0 / np.finfo(float).eps)
 
 
 def lobatto_nodes(n: int, lo: float, hi: float = 1.0) -> np.ndarray:
@@ -28,169 +33,83 @@ def lobatto_nodes(n: int, lo: float, hi: float = 1.0) -> np.ndarray:
     return (hi + lo) / 2 + (hi - lo) / 2 * s
 
 
-def _cheb_coeffs(values: np.ndarray) -> np.ndarray:
-    """Interpolation coefficients on Lobatto nodes via a type-1 DCT."""
-    n = values.size
-    a = dct(values, type=1) / (n - 1)
-    a[0] /= 2
-    a[-1] /= 2
-    return a
-
-
 @dataclass(frozen=True, eq=False)
 class SpectralCoeff:
-    """Coefficient-function samples on Chebyshev-Lobatto nodes over [v_lo, 1].
+    """A coefficient function as a Chebyshev series on [v_lo, 1]."""
 
-    Node 0 sits at v = 1 (the recurrence anchor).  Evaluation between
-    nodes is barycentric, so grid nodes reproduce the stored samples
-    exactly.
-    """
-
-    values: np.ndarray
+    series: Chebyshev
     gamma: float
     xi: float
-    v_lo: float = DEFAULT_V_LO
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float).copy()
-        if vals.ndim != 1 or vals.size < MIN_NODES:
-            raise UsageError(f"need at least {MIN_NODES} nodes, got shape {vals.shape}")
-        if not np.all(np.isfinite(vals)):
-            raise DomainError("non-finite sample values")
-        if self.gamma <= 0:
+        lo, hi = self.series.domain
+        if hi != 1.0 or not -1.0 <= lo < 1.0:
+            raise DomainError(f"domain must be [v_lo, 1] with v_lo in [-1, 1), got [{lo}, {hi}]")
+        if not np.all(np.isfinite(self.series.coef)):
+            raise DomainError("non-finite series coefficients")
+        if not self.gamma > 0:
             raise DomainError(f"gamma must be positive, got {self.gamma}")
-        if not -1.0 <= self.v_lo < 1.0:
-            raise DomainError(f"v_lo must lie in [-1, 1), got {self.v_lo}")
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
 
     @property
-    def n_nodes(self) -> int:
-        return self.values.size
-
-    def nodes(self) -> np.ndarray:
-        return lobatto_nodes(self.n_nodes, self.v_lo)
-
-    def cheb_coeffs(self) -> np.ndarray:
-        return _cheb_coeffs(self.values)
-
-    def tail_rel(self) -> float:
-        """Trailing-three coefficient magnitude relative to the largest."""
-        a = np.abs(self.cheb_coeffs())
-        top = a.max()
-        if top == 0.0:
-            return 0.0
-        return float(a[-3:].max() / top)
+    def v_lo(self) -> float:
+        return float(self.series.domain[0])
 
     def eval(self, v):
-        """Barycentric interpolation; exact pass-through at grid nodes."""
-        v_arr = np.atleast_1d(np.asarray(v, dtype=float))
+        """Value of the series at v, a point or an array of points."""
+        v_arr = np.asarray(v, dtype=float)
         if np.any(v_arr < self.v_lo - 1e-12) or np.any(v_arr > 1.0 + 1e-12):
             raise DomainError("evaluation point outside the spectral domain")
-        x = self.nodes()
-        n = x.size
-        w = np.ones(n)
-        w[1::2] = -1.0
-        w[0] /= 2
-        w[-1] /= 2
-        out = np.empty_like(v_arr)
-        for i, vi in enumerate(v_arr):
-            diff = vi - x
-            hit = np.nonzero(diff == 0.0)[0]
-            if hit.size:
-                out[i] = self.values[hit[0]]
-            else:
-                ratios = w / diff
-                out[i] = ratios @ self.values / ratios.sum()
-        return out if np.ndim(v) else float(out[0])
-
-    @classmethod
-    def from_function(cls, fn, gamma: float, xi: float, n: int = 33,
-                      v_lo: float = DEFAULT_V_LO) -> "SpectralCoeff":
-        vv = lobatto_nodes(n, v_lo)
-        return cls(np.array([fn(v) for v in vv], dtype=float), gamma, xi, v_lo)
-
-    @classmethod
-    def ones(cls, gamma: float, xi: float, n: int = 33,
-             v_lo: float = DEFAULT_V_LO) -> "SpectralCoeff":
-        return cls(np.ones(n), gamma, xi, v_lo)
+        out = self.series(v_arr)
+        return out if np.ndim(v) else float(out)
 
 
-def _half_width(s: SpectralCoeff) -> float:
-    return (1.0 - s.v_lo) / 2.0
-
-
-def _deriv_samples(s: SpectralCoeff) -> np.ndarray:
-    n = s.n_nodes
-    grid_s = np.cos(np.pi * np.arange(n) / (n - 1))
-    return _cheb.chebval(grid_s, _cheb.chebder(s.cheb_coeffs())) / _half_width(s)
-
-
-def _anchored_integral(s: SpectralCoeff, values: np.ndarray, anchor_s: float) -> np.ndarray:
-    """Samples of the antiderivative of `values` vanishing at the anchor."""
-    n = s.n_nodes
-    grid_s = np.cos(np.pi * np.arange(n) / (n - 1))
-    anti = _cheb.chebint(_cheb_coeffs(values)) * _half_width(s)
-    return _cheb.chebval(grid_s, anti) - _cheb.chebval(anchor_s, anti)
+def _resample_degree(s: SpectralCoeff) -> int:
+    """Degree that resolves s/(1 + g v^2) to machine precision: eight past
+    where rho^-j reaches the unit roundoff, and never below deg s."""
+    lo = s.v_lo
+    pole = (2j / s.gamma - (1.0 + lo)) / (1.0 - lo)
+    root = np.sqrt(pole * pole - 1.0)
+    rho = max(abs(pole + root), abs(pole - root))
+    need = _DIGITS / math.log(rho) + 8 if rho > 1.0 else math.inf
+    deg = max(need, s.series.degree())
+    if deg > MAX_DEGREE:
+        raise ResolutionError(
+            f"gamma = {s.gamma} needs degree {deg:.0f} above MAX_DEGREE = {MAX_DEGREE}"
+        )
+    return math.ceil(deg)
 
 
 def spectral_step(s_k: SpectralCoeff, family: str) -> SpectralCoeff:
-    """One recurrence step on the grid; the legendre output is pinned to 0 at v=1."""
+    """One recurrence step; the Bessel step is exact polynomial arithmetic."""
     if family not in FAMILIES:
         raise UsageError(f"unknown family {family!r}")
-    if s_k.tail_rel() > TAIL_TOL:
-        raise ResolutionError(
-            f"spectral tail {s_k.tail_rel():.2e} above {TAIL_TOL:.0e} "
-            f"at N={s_k.n_nodes}; double the grid"
-        )
-    vv = s_k.nodes()
-    dot = _deriv_samples(s_k)
+    f = s_k.series
+    v = Chebyshev.identity(domain=f.domain)
     if family == "bessel":
         if s_k.v_lo != 0.0:
             raise UsageError("bessel family runs on the domain [0, 1]")
-        out = 0.5 * vv**2 * (1 - vv**2) * dot
-        out = out + _anchored_integral(s_k, (1 - 5 * vv**2) * s_k.values / 8.0, -1.0)
-        return SpectralCoeff(out, s_k.gamma, s_k.xi, s_k.v_lo)
+        out = 0.5 * v**2 * (1 - v**2) * f.deriv() + ((1 - 5 * v**2) * f / 8.0).integ(lbnd=0.0)
+        return SpectralCoeff(out, s_k.gamma, s_k.xi)
 
+    deg = _resample_degree(s_k)
     gg = s_k.gamma**2
     zeta = s_k.xi - 0.125
-    out = (1 - vv**2) * (1 + gg * vv**2) / (2 * (1 + gg)) * dot
-    out = out - gg / (8 * (1 + gg)) * _anchored_integral(
-        s_k, (5 * vv**2 + 1 / gg - 1) * s_k.values, 1.0
-    )
-    out = out - zeta * _anchored_integral(s_k, s_k.values / (1 + gg * vv**2), 1.0)
-    out = out.copy()
-    out[0] = 0.0
-    return SpectralCoeff(out, s_k.gamma, s_k.xi, s_k.v_lo)
+    rational = Chebyshev.interpolate(lambda x: f(x) / (1 + gg * x**2), deg, domain=f.domain)
+    out = (1 - v**2) * (1 + gg * v**2) / (2 * (1 + gg)) * f.deriv()
+    out = out - gg / (8 * (1 + gg)) * ((5 * v**2 + 1 / gg - 1) * f).integ(lbnd=1.0)
+    out = out - zeta * rational.integ(lbnd=1.0)
+    return SpectralCoeff(out, s_k.gamma, s_k.xi)
 
 
-def spectral_chain(
-    family: str,
-    gamma: float,
-    xi: float,
-    k_max: int,
-    n: int = 33,
-    n_max: int = 2049,
-    v_lo: float | None = None,
-) -> list[SpectralCoeff]:
-    """Coefficient functions 0..k_max, doubling the grid until tails resolve."""
+def spectral_chain(family: str, gamma: float, xi: float, k_max: int) -> list[SpectralCoeff]:
+    """Coefficient functions 0..k_max: on [0, 1] for the bessel family,
+    on [DEFAULT_V_LO, 1] for the legendre family."""
     if family not in FAMILIES:
         raise UsageError(f"unknown family {family!r}")
     if k_max < 0:
         raise UsageError(f"k_max must be nonnegative, got {k_max}")
-    if v_lo is None:
-        v_lo = 0.0 if family == "bessel" else DEFAULT_V_LO
-    while True:
-        chain = [SpectralCoeff.ones(gamma, xi, n, v_lo)]
-        try:
-            for _ in range(k_max):
-                chain.append(spectral_step(chain[-1], family))
-            if chain[-1].tail_rel() > TAIL_TOL:
-                raise ResolutionError(
-                    f"final tail {chain[-1].tail_rel():.2e} above threshold at N={n}"
-                )
-            return chain
-        except ResolutionError:
-            if 2 * (n - 1) + 1 > n_max:
-                raise
-            n = 2 * (n - 1) + 1
+    lo = 0.0 if family == "bessel" else DEFAULT_V_LO
+    chain = [SpectralCoeff(Chebyshev([1.0], domain=[lo, 1.0]), gamma, xi)]
+    for _ in range(k_max):
+        chain.append(spectral_step(chain[-1], family))
+    return chain

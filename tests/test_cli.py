@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uniasym import BesselParams, LegendreParams, eval_bessel, eval_legendre
@@ -179,21 +179,110 @@ def eval_argvs(draw):
     return argv
 
 
-@settings(deadline=None, max_examples=60)
-@given(eval_argvs())
-def test_eval_gives_finite_json_or_one_line_error(argv):
+def run_captured(argv):
+    """main(argv) with stdout and stderr captured; no pytest fixture, so
+    hypothesis can call it once per example."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def assert_one_line_error(rc, err):
+    assert rc in (1, 2, 3)
+    assert "Traceback" not in err
+    assert "error: " in err
+    assert len(err.splitlines()) == 1
+
+
+@settings(deadline=None, max_examples=60)
+@given(eval_argvs())
+def test_eval_gives_finite_json_or_one_line_error(argv):
+    rc, out, err = run_captured(argv)
     if rc == 0:
-        payload = json.loads(out.getvalue())
+        payload = json.loads(out)
         assert math.isfinite(payload["value"])
         assert payload["log_scale"] is None or math.isfinite(payload["log_scale"])
     else:
-        assert rc in (1, 2, 3)
-        assert out.getvalue() == ""
-        assert "error: " in err.getvalue()
-        assert len(err.getvalue().splitlines()) == 1
+        assert_one_line_error(rc, err)
+        assert out == ""
+
+
+RATIONAL_TEXT = st.one_of(
+    st.fractions(-100, 100, max_denominator=1000).map(str),
+    st.sampled_from(("0", "-1", "1/0", "x", "1e300", "1e-300", "-1/8")),
+)
+
+
+@st.composite
+def coeffs_argvs(draw):
+    family = draw(st.sampled_from(("bessel", "legendre")))
+    argv = ["coeffs", "--family", family, "--k", str(draw(st.integers(-1, 7))),
+            "--format", draw(st.sampled_from(("json", "text")))]
+    for flag in ("--g", "--zeta"):
+        if draw(st.booleans()) or family == "legendre":
+            argv += [flag, draw(RATIONAL_TEXT)]
+    variant = draw(st.sampled_from(((), ("--plus",), ("--bar",))))
+    return argv + list(variant)
+
+
+@settings(deadline=None, max_examples=40)
+@given(coeffs_argvs())
+def test_coeffs_gives_output_or_one_line_error(argv):
+    rc, out, err = run_captured(argv)
+    if rc == 0:
+        assert out.strip()
+        if "json" in argv:
+            json.loads(out)
+    else:
+        assert_one_line_error(rc, err)
+        assert out == ""
+
+
+def mostly(draw, valid, *invalid):
+    """A draw from `valid`, or one time in ten one of the `invalid` values."""
+    return draw(st.sampled_from(invalid)) if draw(st.integers(0, 9)) == 0 else draw(valid)
+
+
+# The oracle's cost grows with n gamma, gamma = lambda/sin(theta), so n lambda
+# stays <= 40 and theta <= 2.5; past that, near theta = pi, one row takes
+# seconds to minutes.  Now and then a flag is out of range, to reach the checks.
+@st.composite
+def errtable_argvs(draw):
+    n = mostly(draw, st.integers(1, 8), 0, -3)
+    lam_hi = draw(st.floats(1e-3, 40.0 / max(n, 1)))
+    orders = ",".join(map(str, draw(st.lists(st.integers(0, 6), min_size=1, max_size=3))))
+    return ["errtable",
+            "--theta", repr(mostly(draw, st.floats(1e-3, 2.5), 0.0, math.pi, 4.0)),
+            "--xi", repr(draw(st.floats(-1.0, 1.0))), "--n", str(n),
+            "--lambda-min", repr(mostly(draw, st.floats(1e-3, lam_hi), -1.0, 2 * lam_hi)),
+            "--lambda-max", repr(lam_hi),
+            "--steps", str(mostly(draw, st.integers(1, 2), 0)),
+            "--orders", mostly(draw, st.just(orders), "7", "-1,0", "x")]
+
+
+TABLE_HEAD = "errtable --theta 0.3 --n 4 --steps 1 --lambda-min".split()
+
+
+@settings(deadline=None, max_examples=20)
+@given(errtable_argvs())
+@example(TABLE_HEAD + ["1e300", "--lambda-max", "1e300"])
+@example(TABLE_HEAD + ["1", "--lambda-max", "1", "--xi", "-1e300"])
+def test_errtable_gives_finite_csv_or_one_line_error(argv):
+    rc, out, err = run_captured(argv)
+    if rc == 0:
+        lines = out.splitlines()
+        assert lines[0] == "lambda,m,rel_err_p,rel_err_q"
+        assert all(math.isfinite(float(x)) for line in lines[1:] for x in line.split(","))
+        return
+    assert_one_line_error(rc, err)
+    if out:
+        # an oracle failure: exit 1, the rows it hit flagged nan, the others finite
+        assert rc == 1
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert any(row[2:] == ["nan", "nan"] for row in rows)
+        for row in rows:
+            assert row[2:] == ["nan", "nan"] or all(math.isfinite(float(x)) for x in row)
 
 
 def test_eval_domain_error_exit(capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from uniasym import (
     eta,
     eta_tilde,
     eta_tilde_from_profile,
+    eval_bessel_form,
     eval_legendre,
     exact_params,
     mu_of,
@@ -185,6 +187,18 @@ def test_scaled_output_for_large_order():
     scaled = eval_legendre(LegendreParams(6, 1.0, 0.0, 0.5, 3, "p"), scaled=True)
     assert plain.log_scale is None
     assert scaled.unscaled() == pytest.approx(plain.value, rel=1e-13)
+
+
+def test_small_gamma_warns_once_per_call():
+    # One warning per evaluator call, not one per coefficient (m + 1 = 4).
+    for call in (
+        lambda: eval_legendre(LegendreParams(4, 0.01, 0.0, 0.5, 3, "p")),
+        lambda: eval_bessel_form(4, 0.01, 1.0, 0.0, 3, "q"),
+    ):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        assert [str(w.message).endswith("expect cancellation loss") for w in caught] == [True]
 
 
 # -- exponent profile and rewritten form ---------------------------------------

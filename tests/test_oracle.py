@@ -22,7 +22,7 @@ from uniasym import (
     p_reference,
     q_reference,
 )
-from uniasym import oracle
+from uniasym import oracle, spectral
 from uniasym.checks import limit_gaps, oracle_wronskian_worst
 from uniasym.oracle import (
     ORACLE_DPS_ENV,
@@ -55,21 +55,22 @@ def test_config_env_override(monkeypatch):
 
 
 def test_oracle_is_independent_of_the_evaluators():
-    # The oracle grades the expansion evaluators, so it must not import them;
-    # and it computes in closed form, so it calls no quadrature.
-    tree = ast.parse(Path(oracle.__file__).read_text())
-    modules, calls = set(), set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            modules.add((node.module or "").rpartition(".")[2])
-            modules.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.Import):
-            modules.update(alias.name.rpartition(".")[2] for alias in node.names)
-        elif isinstance(node, ast.Call):
-            func = node.func
-            calls.add(func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", ""))
-    assert not modules & {"legendre", "bessel", "coeff", "recurrences"}
-    assert not [name for name in calls if name.startswith("quad")]
+    # The oracle and the spectral cross-check grade the evaluators and the
+    # exact kernel, so neither may import them; and neither calls a quadrature.
+    for module in (oracle, spectral):
+        tree = ast.parse(Path(module.__file__).read_text())
+        modules, calls = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                modules.add((node.module or "").rpartition(".")[2])
+                modules.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                modules.update(alias.name.rpartition(".")[2] for alias in node.names)
+            elif isinstance(node, ast.Call):
+                func = node.func
+                calls.add(func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", ""))
+        assert not modules & {"legendre", "bessel", "coeff", "recurrences", "exact"}, module
+        assert not [name for name in calls if name.startswith("quad")], module
 
 
 def test_point_validation():
@@ -83,6 +84,9 @@ def test_point_validation():
         q_reference(4, 1.0, 0.0, 0.5, CFG, method="bogus")
     with pytest.raises(UsageError):
         q_reference(4, 1.0, 0.0, 0.95, CFG, method="integral")
+    # mu = n = 1: p(x) and p(-x) are dependent, so q = c p(-x) has no c
+    with pytest.raises(DomainError):
+        q_reference(1, 0.5, -1.125, 0.5, CFG)
 
 
 def test_series_budget_surfaces_precision_error():
@@ -91,6 +95,16 @@ def test_series_budget_surfaces_precision_error():
         p_reference(8, 5.0, 0.0, 0.5, tiny)
     with pytest.raises(PrecisionError):
         besselK_reference(4, 8.0, tiny)
+    # Raised up front: n gamma beyond the float range, and series whose
+    # terms change sign for more terms than the budget allows (about
+    # 1.4e150 at xi = -1e300, 2.4e6 at xi = -3e12), in p and in the
+    # connection route of q.
+    with pytest.raises(PrecisionError):
+        p_reference(4, 1e300, 0.0, 0.5, CFG)
+    with pytest.raises(PrecisionError):
+        p_reference(4, 1.0, -1e300, 0.5, CFG)
+    with pytest.raises(PrecisionError):
+        q_reference(4, 1.0, -3e12, 0.95, CFG)
 
 
 # -- first-kind solution ---------------------------------------------------------

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import random
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -206,3 +208,27 @@ def test_antiderivative_rules_match_numeric_derivative():
 
     ok, detail = _check_antiderivative_rules()
     assert ok, detail
+
+
+def test_fresh_pair_builds_one_chain_from_eight_threads():
+    # The kernel caches are locked per pair, so eight threads racing to build
+    # a pair no other test uses must all get equal chains.
+    g, zeta = Fraction(1234577, 2**20) ** 2, Fraction(-3, 17)
+
+    def build(_):
+        return ([psi(k, g, zeta) for k in range(K_MAX + 1)]
+                + [psi_bar_plus(k, g, zeta) for k in range(K_MAX + 1)])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            chains = list(pool.map(build, range(8), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(chain == chains[0] for chain in chains[1:])
+    # a lost update in the cached chain would shift psi_k; step it serially
+    ref = [CoeffExpr.one(g, zeta)]
+    for _ in range(K_MAX):
+        ref.append(integrate_step_legendre(ref[-1], g, zeta))
+    assert chains[0][:K_MAX + 1] == ref
