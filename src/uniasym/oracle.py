@@ -104,16 +104,18 @@ def _safe_index(s, cfg: OracleConfig) -> int:
 
 
 def _series_guard_digits(n: int, gamma: float, xi: float, x: float) -> int:
-    """Extra working digits covering the hump of the all-positive series.
+    """Extra working digits covering the hump of the Gauss series.
 
-    Terms peak near exp(2 sqrt(s z)) before decaying, s = n^2 g + 2 xi.
-    With positive terms there is no cancellation, only exponent head-room.
+    Terms peak near exp(2 sqrt(|s| z)) before decaying, s = n^2 g + 2 xi.
+    For s > 0 they keep one sign and the hump needs only exponent
+    head-room; for s < 0 they alternate up to j ~ sqrt(-s) and cancel,
+    losing about as many digits as the hump holds.
     """
     s = _series_strength(n, gamma, xi)
     z = (1.0 - x) / 2.0
-    if s <= 0 or z <= 0:
+    if z <= 0:
         return 10
-    guard = int(2.0 * math.sqrt(s * z) / math.log(10.0)) + 10
+    guard = int(2.0 * math.sqrt(abs(s) * z) / math.log(10.0)) + 10
     if guard > 200_000:
         raise PrecisionError(
             f"series hump needs ~{guard} guard digits; parameter regime rejected"

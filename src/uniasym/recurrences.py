@@ -18,16 +18,20 @@ Two families are produced, both starting from the constant 1:
   L or X_b coefficient aborts the step with IntegrityError rather than
   being dropped.
 
-All chains are cached: the Bessel chain globally, the Legendre chains
-per exact parameter pair (g, zeta).  Expressions are immutable, so the
-caches are safe to share across threads.
+Every chain entry and antiderivative table entry is a pure function of
+its arguments, memoised by a bounded functools.lru_cache: the Bessel
+chains by k, the Legendre chains by (k, g, zeta) and the tables by
+(a, b, g, zeta).  The caches keyed by (g, zeta) hold _CACHED_PAIRS exact
+pairs, dropping the least recently used entries past that.
+Threads may share them: lru_cache keeps each cache coherent, and racing
+threads get equal chains, though they may build one entry twice.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from .coeff import CoeffExpr
@@ -116,52 +120,34 @@ def integrate_step_bessel(expr: CoeffExpr) -> CoeffExpr:
     return dterm + iterm
 
 
-_omega_lock = threading.Lock()
-_omega_chain: list[CoeffExpr] = []
-_omega_bar_cache: dict[int, CoeffExpr] = {}
-
-
+@lru_cache(maxsize=K_MAX + 1)
 def omega(k: int) -> CoeffExpr:
     """k-th Bessel-side coefficient polynomial (in t, rational coefficients)."""
     _check_k(k)
-    with _omega_lock:
-        if not _omega_chain:
-            _omega_chain.append(CoeffExpr.one(_BESSEL_G, 0))
-        while len(_omega_chain) <= k:
-            _omega_chain.append(integrate_step_bessel(_omega_chain[-1]))
-        return _omega_chain[k]
+    if k == 0:
+        return CoeffExpr.one(_BESSEL_G, 0)
+    return integrate_step_bessel(omega(k - 1))
 
 
+@lru_cache(maxsize=K_MAX + 1)
 def omega_bar(k: int) -> CoeffExpr:
     """Derivative-side Bessel polynomial: w_k + t(t^2-1)(w_{k-1}/2 + t w'_{k-1})."""
     _check_k(k)
-    with _omega_lock:
-        cached = _omega_bar_cache.get(k)
-    if cached is not None:
-        return cached
     if k == 0:
-        result = omega(0)
-    else:
-        w_prev = omega(k - 1)
-        g, zeta = w_prev.g, w_prev.zeta
-        half_t3_minus_t = CoeffExpr.poly_v(
-            g, zeta, {3: Fraction(1, 2), 1: Fraction(-1, 2)}
-        )
-        t4_minus_t2 = CoeffExpr.poly_v(g, zeta, {4: 1, 2: -1})
-        result = (
-            omega(k)
-            + half_t3_minus_t * w_prev
-            + t4_minus_t2 * _poly_ddt(w_prev)
-        )
-    with _omega_lock:
-        _omega_bar_cache[k] = result
-    return result
+        return omega(0)
+    w_prev = omega(k - 1)
+    g, zeta = w_prev.g, w_prev.zeta
+    half_t3_minus_t = CoeffExpr.poly_v(g, zeta, {3: Fraction(1, 2), 1: Fraction(-1, 2)})
+    t4_minus_t2 = CoeffExpr.poly_v(g, zeta, {4: 1, 2: -1})
+    return omega(k) + half_t3_minus_t * w_prev + t4_minus_t2 * _poly_ddt(w_prev)
 
 
 # -- Legendre-side antiderivative engine --------------------------------------
 
 class _Anti(NamedTuple):
-    """Indefinite antiderivative: explicit part plus formal X_b content."""
+    """Indefinite antiderivative: explicit part plus formal X_b content.
+
+    Table entries are cached and shared, so xco is never mutated."""
 
     expr: CoeffExpr
     xco: dict[int, ExactScalar]
@@ -187,206 +173,156 @@ def _xmerge(dst: dict[int, ExactScalar], src: dict[int, ExactScalar], factor) ->
             dst[b] = acc
 
 
-class _LegendreKernel:
-    """Integration tables and coefficient chain for one exact (g, zeta)."""
+# Exact (g, zeta) pairs the Legendre-side caches hold.  At K_MAX a pair
+# fills K_MAX + 1 entries of each chain and under 64 of each antiderivative
+# table, about 0.5 MB in all.
+_CACHED_PAIRS = 32
+_CHAIN_SIZE = _CACHED_PAIRS * (K_MAX + 1)
+_TABLE_SIZE = _CACHED_PAIRS * 64
 
-    def __init__(self, g: Fraction, zeta: Fraction):
-        self.g = Fraction(g)
-        self.zeta = Fraction(zeta)
-        self.gamma = ExactScalar.sqrt_g(self.g)
-        self._anti_p: dict[tuple[int, int], _Anti] = {}
-        self._anti_a: dict[tuple[int, int], _Anti] = {}
-        self._psi: list[CoeffExpr] = [CoeffExpr.one(self.g, self.zeta)]
-        self._psi_bar: dict[int, CoeffExpr] = {}
-        self._psi_plus: dict[int, CoeffExpr] = {}
-        self._psi_bar_plus: dict[int, CoeffExpr] = {}
-        self._lock = threading.RLock()
 
-    # antiderivative of v^a d^b (indefinite; explicit constant left at 0)
-    def anti_power(self, a: int, b: int) -> _Anti:
-        key = (a, b)
-        hit = self._anti_p.get(key)
-        if hit is not None:
-            return hit
-        lead = CoeffExpr.monomial(self.g, self.zeta, a + 1, b, 0, Fraction(1, a + 1))
-        if b == 0:
-            out = _Anti(lead, {})
+@lru_cache(maxsize=_TABLE_SIZE)
+def _anti_power(a: int, b: int, g: Fraction, zeta: Fraction) -> _Anti:
+    """Antiderivative of v^a d^b (indefinite; explicit constant left at 0)."""
+    lead = CoeffExpr.monomial(g, zeta, a + 1, b, 0, Fraction(1, a + 1))
+    if b == 0:
+        return _Anti(lead, {})
+    # by parts: the d-power drops by one against 1/(1+gv^2)
+    tail = _anti_ratio(a + 1, b - 1, g, zeta)
+    factor = ExactScalar.sqrt_g(g) * Fraction(b, a + 1)
+    xco: dict[int, ExactScalar] = {}
+    _xmerge(xco, tail.xco, factor)
+    return _Anti(lead + tail.expr.scale(factor), xco)
+
+
+@lru_cache(maxsize=_TABLE_SIZE)
+def _anti_ratio(a: int, b: int, g: Fraction, zeta: Fraction) -> _Anti:
+    """Antiderivative of v^a d^b / (1 + g v^2)."""
+    if a == 0:
+        coeff = ExactScalar.sqrt_g(g).inv() * Fraction(-1, b + 1)
+        return _Anti(CoeffExpr.monomial(g, zeta, 0, b + 1, 0, coeff), {})
+    if a == 1 and b == 0:
+        return _Anti(CoeffExpr.monomial(g, zeta, 0, 0, 1, Fraction(1, 2) / g), {})
+    if a == 1:
+        # Int v d^b/(1+gv^2) dv is not elementary; keep it formal.
+        return _Anti(CoeffExpr.zero(g, zeta), {b: ExactScalar(1, 0, g)})
+    # v^a/(1+gv^2) = v^(a-2)/g - v^(a-2)/(g(1+gv^2))
+    inv_g = Fraction(1) / g
+    part_p = _anti_power(a - 2, b, g, zeta)
+    part_a = _anti_ratio(a - 2, b, g, zeta)
+    xco: dict[int, ExactScalar] = {}
+    _xmerge(xco, part_p.xco, inv_g)
+    _xmerge(xco, part_a.xco, -inv_g)
+    return _Anti(part_p.expr.scale(inv_g) - part_a.expr.scale(inv_g), xco)
+
+
+def _definite(anti: _Anti) -> _DefInt:
+    """Anchor an antiderivative at v = 1.
+
+    At v = 1 the d-factors vanish; L(1) = ln(1+g) is kept formal as the
+    anchor coefficient.
+    """
+    expr = anti.expr
+    const = ExactScalar(0, 0, expr.g)
+    anchor = ExactScalar(0, 0, expr.g)
+    for (a, b, l), c in expr.items():
+        if b > 0:
+            continue
+        if l == 0:
+            const = const + c
+        elif l == 1 and a == 0:
+            anchor = anchor + c
         else:
-            # by parts: the d-power drops by one against 1/(1+gv^2)
-            tail = self.anti_ratio(a + 1, b - 1)
-            factor = self.gamma * Fraction(b, a + 1)
-            xco: dict[int, ExactScalar] = {}
-            _xmerge(xco, tail.xco, factor)
-            out = _Anti(lead + tail.expr.scale(factor), xco)
-        self._anti_p[key] = out
-        return out
-
-    # antiderivative of v^a d^b / (1 + g v^2)
-    def anti_ratio(self, a: int, b: int) -> _Anti:
-        key = (a, b)
-        hit = self._anti_a.get(key)
-        if hit is not None:
-            return hit
-        if a == 0:
-            coeff = self.gamma.inv() * Fraction(-1, b + 1)
-            out = _Anti(
-                CoeffExpr.monomial(self.g, self.zeta, 0, b + 1, 0, coeff), {}
-            )
-        elif a == 1 and b == 0:
-            out = _Anti(
-                CoeffExpr.monomial(
-                    self.g, self.zeta, 0, 0, 1, Fraction(1, 2) / self.g
-                ),
-                {},
-            )
-        elif a == 1:
-            # Int v d^b/(1+gv^2) dv is not elementary; keep it formal.
-            out = _Anti(
-                CoeffExpr.zero(self.g, self.zeta),
-                {b: ExactScalar(1, 0, self.g)},
-            )
-        else:
-            # v^a/(1+gv^2) = v^(a-2)/g - v^(a-2)/(g(1+gv^2))
-            inv_g = Fraction(1) / self.g
-            part_p = self.anti_power(a - 2, b)
-            part_a = self.anti_ratio(a - 2, b)
-            xco = {}
-            _xmerge(xco, part_p.xco, inv_g)
-            _xmerge(xco, part_a.xco, -inv_g)
-            out = _Anti(
-                part_p.expr.scale(inv_g) - part_a.expr.scale(inv_g), xco
-            )
-        self._anti_a[key] = out
-        return out
-
-    def _value_at_one(self, expr: CoeffExpr) -> tuple[ExactScalar, ExactScalar]:
-        """Split expr(1) into (rational-part, coefficient of ln(1+g)).
-
-        At v = 1 the d-factors vanish; L(1) = ln(1+g) is kept formal.
-        """
-        const = ExactScalar(0, 0, self.g)
-        anchor = ExactScalar(0, 0, self.g)
-        for (a, b, l), c in expr.items():
-            if b > 0:
-                continue
-            if l == 0:
-                const = const + c
-            elif l == 1 and a == 0:
-                anchor = anchor + c
-            else:
-                raise IntegrityError(
-                    f"unexpected log monomial (a={a}, b={b}, l={l}) in antiderivative"
-                )
-        return const, anchor
-
-    def _definite(self, anti: _Anti) -> _DefInt:
-        const, anchor = self._value_at_one(anti.expr)
-        expr = anti.expr
-        if not const.is_zero:
-            expr = expr - CoeffExpr.monomial(self.g, self.zeta, 0, 0, 0, const)
-        # Formal X_b are anchored at v = 1 by convention, adding nothing here.
-        return _DefInt(expr, dict(anti.xco), -anchor)
-
-    def definite_power(self, a: int, b: int) -> _DefInt:
-        return self._definite(self.anti_power(a, b))
-
-    def definite_ratio(self, a: int, b: int) -> _DefInt:
-        return self._definite(self.anti_ratio(a, b))
-
-    def _integrate_expr(self, expr: CoeffExpr, ratio: bool) -> _DefInt:
-        """Definite integral from 1 of expr (ratio=True divides by 1+gv^2)."""
-        total = CoeffExpr.zero(self.g, self.zeta)
-        xco: dict[int, ExactScalar] = {}
-        anchor = ExactScalar(0, 0, self.g)
-        table = self.definite_ratio if ratio else self.definite_power
-        for (a, b, l), c in expr.items():
-            if l != 0:
-                raise UsageError("integrand must be log-free")
-            piece = table(a, b)
-            total = total + piece.expr.scale(c)
-            _xmerge(xco, piece.xco, c)
-            anchor = anchor + piece.anchor * c
-        return _DefInt(total, xco, anchor)
-
-    def step(self, psi_k: CoeffExpr) -> CoeffExpr:
-        """One Legendre-side recurrence step with transient-cancellation check."""
-        if psi_k.has_log:
-            raise UsageError("recurrence input must be log-free")
-        g, zeta = self.g, self.zeta
-        one_plus_g = 1 + g
-
-        one_minus_v2 = CoeffExpr.poly_v(g, zeta, {0: 1, 2: -1})
-        dterm = (psi_k.scaled_diff() * one_minus_v2).scale(
-            Fraction(1, 2) / one_plus_g
-        )
-
-        bracket = CoeffExpr.poly_v(g, zeta, {2: 5, 0: Fraction(1) / g - 1})
-        int_poly = self._integrate_expr(bracket * psi_k, ratio=False)
-        int_ratio = self._integrate_expr(psi_k, ratio=True)
-
-        w_poly = -g / (8 * one_plus_g)
-        w_ratio = -zeta
-
-        result = (
-            dterm
-            + int_poly.expr.scale(w_poly)
-            + int_ratio.expr.scale(w_ratio)
-        )
-        xco: dict[int, ExactScalar] = {}
-        _xmerge(xco, int_poly.xco, w_poly)
-        _xmerge(xco, int_ratio.xco, w_ratio)
-        anchor = int_poly.anchor * w_poly + int_ratio.anchor * w_ratio
-
-        problems = []
-        log_coeff = result.coeff_at(0, 0, 1)
-        if not log_coeff.is_zero:
-            problems.append(f"L coefficient {log_coeff!r}")
-        if result.has_log and log_coeff.is_zero:
-            problems.append("higher log monomials present")
-        if not anchor.is_zero:
-            problems.append(f"anchor ln(1+g) coefficient {anchor!r}")
-        for b in sorted(xco):
-            problems.append(f"X_{b} coefficient {xco[b]!r}")
-        if problems:
             raise IntegrityError(
-                "transients failed to cancel in recurrence step: "
-                + "; ".join(problems)
+                f"unexpected log monomial (a={a}, b={b}, l={l}) in antiderivative"
             )
-        return result
+    if not const.is_zero:
+        expr = expr - CoeffExpr.monomial(expr.g, expr.zeta, 0, 0, 0, const)
+    # Formal X_b are anchored at v = 1 by convention, adding nothing here.
+    return _DefInt(expr, dict(anti.xco), -anchor)
 
 
-_kernel_lock = threading.Lock()
-_kernels: dict[tuple[Fraction, Fraction], _LegendreKernel] = {}
+def _integrate_expr(expr: CoeffExpr, table) -> _DefInt:
+    """Definite integral from 1 of expr through one antiderivative table:
+    _anti_power for expr itself, _anti_ratio for expr / (1 + g v^2)."""
+    g, zeta = expr.g, expr.zeta
+    total = CoeffExpr.zero(g, zeta)
+    xco: dict[int, ExactScalar] = {}
+    anchor = ExactScalar(0, 0, g)
+    for (a, b, l), c in expr.items():
+        if l != 0:
+            raise UsageError("integrand must be log-free")
+        piece = _definite(table(a, b, g, zeta))
+        total = total + piece.expr.scale(c)
+        _xmerge(xco, piece.xco, c)
+        anchor = anchor + piece.anchor * c
+    return _DefInt(total, xco, anchor)
 
 
-def _kernel(g, zeta) -> _LegendreKernel:
-    key = (Fraction(g), Fraction(zeta))
-    with _kernel_lock:
-        kern = _kernels.get(key)
-        if kern is None:
-            kern = _LegendreKernel(*key)
-            _kernels[key] = kern
-        return kern
+def _step(psi_k: CoeffExpr) -> CoeffExpr:
+    """One Legendre-side recurrence step with transient-cancellation check."""
+    if psi_k.has_log:
+        raise UsageError("recurrence input must be log-free")
+    g, zeta = psi_k.g, psi_k.zeta
+    one_plus_g = 1 + g
+
+    one_minus_v2 = CoeffExpr.poly_v(g, zeta, {0: 1, 2: -1})
+    dterm = (psi_k.scaled_diff() * one_minus_v2).scale(
+        Fraction(1, 2) / one_plus_g
+    )
+
+    bracket = CoeffExpr.poly_v(g, zeta, {2: 5, 0: Fraction(1) / g - 1})
+    int_poly = _integrate_expr(bracket * psi_k, _anti_power)
+    int_ratio = _integrate_expr(psi_k, _anti_ratio)
+
+    w_poly = -g / (8 * one_plus_g)
+    w_ratio = -zeta
+
+    result = (
+        dterm
+        + int_poly.expr.scale(w_poly)
+        + int_ratio.expr.scale(w_ratio)
+    )
+    xco: dict[int, ExactScalar] = {}
+    _xmerge(xco, int_poly.xco, w_poly)
+    _xmerge(xco, int_ratio.xco, w_ratio)
+    anchor = int_poly.anchor * w_poly + int_ratio.anchor * w_ratio
+
+    problems = []
+    log_coeff = result.coeff_at(0, 0, 1)
+    if not log_coeff.is_zero:
+        problems.append(f"L coefficient {log_coeff!r}")
+    if result.has_log and log_coeff.is_zero:
+        problems.append("higher log monomials present")
+    if not anchor.is_zero:
+        problems.append(f"anchor ln(1+g) coefficient {anchor!r}")
+    for b in sorted(xco):
+        problems.append(f"X_{b} coefficient {xco[b]!r}")
+    if problems:
+        raise IntegrityError(
+            "transients failed to cancel in recurrence step: "
+            + "; ".join(problems)
+        )
+    return result
 
 
 def integrate_step_legendre(expr: CoeffExpr, g, zeta) -> CoeffExpr:
     """One recurrence step for the Legendre-side coefficients."""
-    kern = _kernel(g, zeta)
-    if expr.g != kern.g or expr.zeta != kern.zeta:
+    if expr.g != Fraction(g) or expr.zeta != Fraction(zeta):
         raise UsageError("expression parameters do not match (g, zeta)")
-    return kern.step(expr)
+    return _step(expr)
 
 
+@lru_cache(maxsize=_CHAIN_SIZE)
 def psi(k: int, g, zeta) -> CoeffExpr:
     """k-th Legendre-side coefficient function (exact, log-free)."""
     _check_k(k)
-    kern = _kernel(g, zeta)
-    with kern._lock:
-        while len(kern._psi) <= k:
-            kern._psi.append(kern.step(kern._psi[-1]))
-        return kern._psi[k]
+    if k == 0:
+        return CoeffExpr.one(g, zeta)
+    return _step(psi(k - 1, g, zeta))
 
 
+@lru_cache(maxsize=_CHAIN_SIZE)
 def psi_bar(k: int, g, zeta) -> CoeffExpr:
     """Derivative-side Legendre coefficient.
 
@@ -396,38 +332,30 @@ def psi_bar(k: int, g, zeta) -> CoeffExpr:
     with the last term formed in-basis from the scaled derivative.
     """
     _check_k(k)
-    kern = _kernel(g, zeta)
-    with kern._lock:
-        cached = kern._psi_bar.get(k)
-        if cached is not None:
-            return cached
     if k == 0:
-        result = psi(0, g, zeta)
-    else:
-        prev = psi(k - 1, g, zeta)
-        gf = kern.g
-        one_minus_v2 = CoeffExpr.poly_v(gf, kern.zeta, {0: 1, 2: -1})
-        v_term = prev.shift_v(1) * one_minus_v2
-        d_term = prev.scaled_diff() * one_minus_v2
-        result = (
-            psi(k, g, zeta)
-            - v_term.scale(gf / (2 * (1 + gf)))
-            - d_term.scale(Fraction(1) / (1 + gf))
-        )
-    with kern._lock:
-        kern._psi_bar[k] = result
-    return result
+        return psi(0, g, zeta)
+    prev = psi(k - 1, g, zeta)
+    gf = prev.g
+    one_minus_v2 = CoeffExpr.poly_v(gf, prev.zeta, {0: 1, 2: -1})
+    v_term = prev.shift_v(1) * one_minus_v2
+    d_term = prev.scaled_diff() * one_minus_v2
+    return (
+        psi(k, g, zeta)
+        - v_term.scale(gf / (2 * (1 + gf)))
+        - d_term.scale(Fraction(1) / (1 + gf))
+    )
 
 
-def _plus_combine(
-    base: list[CoeffExpr], k: int, coeffs: list[Fraction]
-) -> CoeffExpr:
-    acc = CoeffExpr.zero(base[0].g, base[0].zeta)
-    for i in range(k + 1):
-        acc = acc + base[k - i].scale(coeffs[i])
+def _plus_combine(chain: list[CoeffExpr]) -> CoeffExpr:
+    """sum_{i<=k} e_i chain[k-i] with e_i the Stirling reciprocal coefficients."""
+    k = len(chain) - 1
+    acc = CoeffExpr.zero(chain[0].g, chain[0].zeta)
+    for e_i, term in zip(stirling_exp_coefficients(k), reversed(chain)):
+        acc = acc + term.scale(e_i)
     return acc
 
 
+@lru_cache(maxsize=_CHAIN_SIZE)
 def psi_plus(k: int, g, zeta) -> CoeffExpr:
     """Legendre coefficient with the factorial correction series folded in.
 
@@ -436,30 +364,11 @@ def psi_plus(k: int, g, zeta) -> CoeffExpr:
     combination because e_i carries parity (-1)^i under n -> -n.
     """
     _check_k(k)
-    kern = _kernel(g, zeta)
-    with kern._lock:
-        cached = kern._psi_plus.get(k)
-        if cached is not None:
-            return cached
-    e = stirling_exp_coefficients(k)
-    chain = [psi(i, g, zeta) for i in range(k + 1)]
-    result = _plus_combine(chain, k, e)
-    with kern._lock:
-        kern._psi_plus[k] = result
-    return result
+    return _plus_combine([psi(i, g, zeta) for i in range(k + 1)])
 
 
+@lru_cache(maxsize=_CHAIN_SIZE)
 def psi_bar_plus(k: int, g, zeta) -> CoeffExpr:
     """Derivative-side analogue of psi_plus."""
     _check_k(k)
-    kern = _kernel(g, zeta)
-    with kern._lock:
-        cached = kern._psi_bar_plus.get(k)
-        if cached is not None:
-            return cached
-    e = stirling_exp_coefficients(k)
-    chain = [psi_bar(i, g, zeta) for i in range(k + 1)]
-    result = _plus_combine(chain, k, e)
-    with kern._lock:
-        kern._psi_bar_plus[k] = result
-    return result
+    return _plus_combine([psi_bar(i, g, zeta) for i in range(k + 1)])

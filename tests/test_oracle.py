@@ -129,6 +129,16 @@ def test_p_ode_residual_tiny():
     assert p_ode_residual(4, 1.0, 0.0, math.cos(0.1), CFG) < 1e-30
 
 
+@pytest.mark.parametrize("xi", [-1e3, -1e4])
+def test_p_keeps_working_digits_at_large_negative_strength(xi):
+    # s = n^2 g + 2 xi < 0: the Gauss-series terms alternate over a hump of
+    # about exp(2 sqrt(|s| z)) and cancel, which the guard digits must cover.
+    val = p_reference(4, 1.0, xi, 0.0, CFG).value
+    ref = p_reference(4, 1.0, xi, 0.0, OracleConfig(dps=100)).value
+    with mp.workdps(100):
+        assert abs(mp.mpf(val) - ref) / abs(ref) < 1e-35
+
+
 # -- second-kind solution ---------------------------------------------------------
 
 def test_q_endpoint_asymptote():

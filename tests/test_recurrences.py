@@ -27,6 +27,7 @@ from uniasym import (
     psi_plus,
     stirling_exp_coefficients,
 )
+from uniasym import recurrences
 from uniasym.checks import psi_defects
 
 PAIRS = [
@@ -211,8 +212,9 @@ def test_antiderivative_rules_match_numeric_derivative():
 
 
 def test_fresh_pair_builds_one_chain_from_eight_threads():
-    # The kernel caches are locked per pair, so eight threads racing to build
-    # a pair no other test uses must all get equal chains.
+    # The kernel caches are lru_caches over pure functions, so eight threads
+    # racing to build a pair no other test uses must all get equal chains,
+    # though some entries may be built more than once.
     g, zeta = Fraction(1234577, 2**20) ** 2, Fraction(-3, 17)
 
     def build(_):
@@ -232,3 +234,20 @@ def test_fresh_pair_builds_one_chain_from_eight_threads():
     for _ in range(K_MAX):
         ref.append(integrate_step_legendre(ref[-1], g, zeta))
     assert chains[0][:K_MAX + 1] == ref
+
+
+def test_pair_keyed_memo_is_bounded_and_rebuilds_equal_chains():
+    for fn in (psi, psi_bar, psi_plus, psi_bar_plus,
+               recurrences._anti_power, recurrences._anti_ratio):
+        assert fn.cache_info().maxsize is not None
+    g, zeta = Fraction(5, 8), Fraction(-7, 32)
+    kept = [psi(k, g, zeta) for k in range(3)]
+    maxsize = psi.cache_info().maxsize
+    # fresh dyadic pairs at k <= 1 are cheap and push the first pair out
+    for i in range(maxsize):
+        psi(1, Fraction(2 * i + 1, 2**10), Fraction(-1, 2**12))
+    info = psi.cache_info()
+    assert info.currsize <= info.maxsize
+    rebuilt = [psi(k, g, zeta) for k in range(3)]
+    assert psi.cache_info().misses > info.misses
+    assert rebuilt == kept
