@@ -20,7 +20,7 @@ import numpy as np
 
 from . import oracle as orc
 from .bessel import BESSEL_KINDS, BesselParams, SeriesEval, eval_bessel, t_of_lambda
-from .coeff import CoeffExpr
+from .closed_forms import closed_omega, closed_omega_bar, dzg, p1
 from .exact import ExactScalar
 from .legendre import (
     LEGENDRE_KINDS,
@@ -119,6 +119,15 @@ def oracle_wronskian_worst(points, cfg: orc.OracleConfig) -> float:
     return max(orc.legendre_wronskian_residual(*pt, cfg) for pt in points)
 
 
+def p_route_gap(n: int, gamma: float, xi: float, x, cfg: orc.OracleConfig) -> float:
+    """Largest relative gap, value or derivative, between p(x) from the Gauss
+    series and from the connection series about x = -1.  Both come as
+    q(-x) = c p(x), by reflection and by connection, so c cancels."""
+    a, b = (orc.q_reference(n, gamma, xi, -x, cfg, method=m) for m in ("reflection", "connection"))
+    pairs = ((a.value, b.value), (a.derivative, b.derivative))
+    return max(float(abs(u - v) / abs(u)) for u, v in pairs)
+
+
 def limit_gaps(
     n: int, lam: float, thetas, cfg: orc.OracleConfig
 ) -> tuple[list[float], list[float]]:
@@ -207,17 +216,8 @@ def _check_mode_agreement() -> tuple[bool, str]:
 # -- bessel ------------------------------------------------------------------
 
 def _check_omega_closed_forms() -> tuple[bool, str]:
-    g = Fraction(1)
-
-    def poly(d):
-        return CoeffExpr.poly_v(g, Fraction(0), {a: Fraction(*pq) for a, pq in d.items()})
-
-    ok = (
-        omega(1) == poly({1: (3, 24), 3: (-5, 24)})
-        and omega(2) == poly({2: (81, 1152), 4: (-462, 1152), 6: (385, 1152)})
-        and omega_bar(1) == poly({1: (-9, 24), 3: (7, 24)})
-    )
-    return ok, "orders 1, 2 and first derivative-series order, exact equality"
+    ok = all(omega(k) == closed_omega(k) for k in (1, 2, 3)) and omega_bar(1) == closed_omega_bar(1)
+    return ok, "orders 1-3 and first derivative-series order, exact equality"
 
 
 def _check_omega_degree_parity() -> tuple[bool, str]:
@@ -305,20 +305,7 @@ def _check_psi_endpoint() -> tuple[bool, str]:
 
 def _check_psi1_closed_form() -> tuple[bool, str]:
     g, zeta = Fraction(7, 3), Fraction(2, 5)
-    gp1 = g + 1
-    dzg = CoeffExpr.monomial(
-        g, zeta, 0, 1, 0, ExactScalar.sqrt_g(g).inv() * ExactScalar.rational(zeta, g)
-    )
-    polypart = CoeffExpr.poly_v(
-        g,
-        zeta,
-        {
-            0: (2 * g + 3) / (24 * gp1),
-            1: (g - 1) / (8 * gp1),
-            3: -5 * g / (24 * gp1),
-        },
-    )
-    ok = psi(1, g, zeta) == dzg + polypart
+    ok = psi(1, g, zeta) == dzg(g, zeta) + p1(g, zeta)
     return ok, "first-order coefficient matches its closed form exactly"
 
 
@@ -395,15 +382,11 @@ def _check_bessel_cross_wronskian() -> tuple[bool, str]:
     return ok, f"series-I vs series-K Wronskian residual {res:.2e}"
 
 
-def _check_realness() -> tuple[bool, str]:
+def _check_p_routes() -> tuple[bool, str]:
     cfg = orc.OracleConfig(dps=40)
-    worst_gap, worst_im = 0.0, 0.0
-    for x in (-0.5, 0.5):
-        vc, vr = orc.p_reference_paths(4, 1.0, 0.0, x, cfg)
-        worst_gap = max(worst_gap, abs(float((vc.value - vr.value) / vr.value)))
-        worst_im = max(worst_im, vc.err_estimate)
-    ok = worst_gap <= 1e-35 and worst_im <= 1e-20
-    return ok, f"complex/real route gap {worst_gap:.2e}, imag residue {worst_im:.2e}"
+    worst = max(p_route_gap(4, 1.0, 0.0, x, cfg) for x in (-0.95, -0.92, -0.9))
+    ok = worst <= 1e-35
+    return ok, f"Gauss vs connection series gap {worst:.2e}"
 
 
 def _check_limit_gaps() -> tuple[bool, str]:
@@ -440,7 +423,7 @@ SUITES: dict[str, list[tuple[str, object]]] = {
         ("p_ode_residual<=1e-25", _check_p_ode_residual),
         ("q_methods_agree<=1e-25", _check_q_methods),
         ("bessel_cross_wronskian", _check_bessel_cross_wronskian),
-        ("realness_certificate", _check_realness),
+        ("p_routes_agree", _check_p_routes),
         ("limit_gap_shrinks", _check_limit_gaps),
     ],
 }

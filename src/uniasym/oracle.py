@@ -1,13 +1,14 @@
 """High-precision reference values for both function families.
 
-Ground truth, independent of the fast expansion evaluators: Gauss-series
-evaluation of the first Legendre-type solution p (complex arithmetic with
-a realness certificate), the second solution q = c p(-x) with the
-constant c in closed form and p(-x) from the Gauss series at -x or, near
-x = 1, from the logarithmic connection series, the ascending series for
-I_n, and the integer-order series for K_n (DLMF 10.31.1).  Everything
-runs in arbitrary-precision arithmetic; every series stops at a relative
-tail of 10^-dps and reports it as its error estimate.  Orders of
+Ground truth, independent of the fast expansion evaluators: the first
+Legendre-type solution p, and the second q = c p(-x) with the constant c
+in closed form, from one real Gauss series and one logarithmic connection
+series, each used only near the end where it converges fast; the
+ascending series for I_n, and the integer-order series for K_n (DLMF
+10.31.1).  Everything runs in arbitrary-precision arithmetic; every
+series stops at a relative tail of 10^-dps and reports it as its error
+estimate, and the two hypergeometric series raise PrecisionError when
+their terms cancel more digits than their guard carries.  Orders of
 magnitude slower than the expansion evaluators, by design.
 """
 
@@ -24,9 +25,12 @@ from .errors import DomainError, PrecisionError, UsageError
 
 ORACLE_DPS_ENV = "UNIASYM_ORACLE_DPS"
 
-# x beyond which the Gauss series at -x for q becomes too slow and the
-# connection series about x = 1 takes over
+# |x| beyond which the Gauss series is too slow and the connection series
+# about the nearer end takes over: for q above x = 0.9, for p below -0.9
 _REFLECT_MAX = 0.9
+
+# terms any one series may sum before it raises PrecisionError
+MAX_TERMS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -34,13 +38,10 @@ class OracleConfig:
     """Precision policy for all reference computations."""
 
     dps: int = 60
-    max_terms: int = 2_000_000
 
     def __post_init__(self):
         if self.dps < 30:
             raise UsageError(f"oracle precision must be >= 30 digits, got {self.dps}")
-        if self.max_terms < 1:
-            raise UsageError("max_terms must be positive")
 
     @property
     def tol(self) -> mp.mpf:
@@ -92,13 +93,13 @@ def _series_strength(n: int, gamma: float, xi: float) -> float:
     return s
 
 
-def _safe_index(s, cfg: OracleConfig) -> int:
+def _safe_index(s) -> int:
     """Index past which the series terms keep one sign, j(j+1) > -s; no
     stopping test may pass before it, so it must lie within the budget."""
     safe = math.isqrt(int(max(0.0, -float(s)))) + 2
-    if safe >= cfg.max_terms:
+    if safe >= MAX_TERMS:
         raise PrecisionError(
-            f"series terms change sign up to j = {float(safe):.3g}, beyond {cfg.max_terms} terms"
+            f"series terms change sign up to j = {float(safe):.3g}, beyond {MAX_TERMS} terms"
         )
     return safe
 
@@ -112,15 +113,22 @@ def _series_guard_digits(n: int, gamma: float, xi: float, x: float) -> int:
     losing about as many digits as the hump holds.
     """
     s = _series_strength(n, gamma, xi)
-    z = (1.0 - x) / 2.0
-    if z <= 0:
-        return 10
+    z = (1.0 - x) / 2.0  # in (0, 1): every caller has |x| < 1
     guard = int(2.0 * math.sqrt(abs(s) * z) / math.log(10.0)) + 10
     if guard > 200_000:
         raise PrecisionError(
             f"series hump needs ~{guard} guard digits; parameter regime rejected"
         )
-    return max(10, guard)
+    return guard
+
+
+def _check_cancellation(peak, total, cfg: OracleConfig, series: str) -> None:
+    """Raise when the largest term outgrew the sum by more digits than the
+    working precision carries beyond dps: the result lost them."""
+    spare = mp.mp.dps - cfg.dps
+    if peak > abs(total) * mp.mpf(10) ** spare:
+        lost = mp.nstr(mp.log10(peak / abs(total)), 5) if total else "all"
+        raise PrecisionError(f"{series} cancels {lost} digits, beyond its {spare} guard digits")
 
 
 def _mu_mpc(n: int, gamma, xi) -> mp.mpc:
@@ -138,71 +146,48 @@ class _GaussSeries(NamedTuple):
     fz: mp.mpf
     fzz: mp.mpf
     tail_rel: float
-    imag_rel: float
 
 
-def _gauss_series(
-    n: int, gamma, xi, x, cfg: OracleConfig, complex_path: bool
-) -> _GaussSeries:
-    """Sum the defining series at z = (1-x)/2 in the current precision.
+def _gauss_series(n: int, gamma, xi, x, cfg: OracleConfig) -> _GaussSeries:
+    """Sum the defining series at z = (1-x)/2 with the guard digits of its
+    hump.  The term ratio (j(j+1) + s) z / ((j+n+1)(j+1)), s = n^2 g + 2 xi,
+    is real for real and complex-conjugate index mu alike."""
+    with mp.extradps(_series_guard_digits(n, gamma, xi, x)):
+        z = (1 - mp.mpf(x)) / 2
+        s = (n * mp.mpf(gamma)) ** 2 + 2 * mp.mpf(xi)
+        safe_j = _safe_index(s)
+        tol = cfg.tol
 
-    The term ratio (j(j+1) + n^2 g + 2 xi) z / ((j+n+1)(j+1)) is real even
-    for complex index; the complex path carries mu explicitly and records
-    the relative imaginary residue as a realness certificate.
-    """
-    z = (1 - mp.mpf(x)) / 2
-    s = (n * mp.mpf(gamma)) ** 2 + 2 * mp.mpf(xi)
-    safe_j = _safe_index(s, cfg)
-    tol = cfg.tol
+        term = f = peak = mp.mpf(1)
+        fz = fzz = mp.mpf(0)
+        j = 0
+        small_streak = 0
+        while True:
+            term = term * ((j * (j + 1) + s) / ((j + n + 1) * (j + 1)) * z)
+            j += 1
+            f += term
+            fz += j * term / z
+            if j > 1:
+                fzz += j * (j - 1) * term / (z * z)
+            if j <= safe_j:  # beyond, the terms keep one sign and shrink
+                peak = max(peak, abs(term))
+            if abs(term) <= tol * abs(f) and j > safe_j:
+                small_streak += 1
+                if small_streak >= 2:
+                    break
+            else:
+                small_streak = 0
+            if j >= MAX_TERMS:
+                raise PrecisionError(f"series did not meet tolerance within {MAX_TERMS} terms")
 
-    if complex_path:
-        mu = _mu_mpc(n, gamma, xi)
-        term = mp.mpc(1, 0)
-        f = mp.mpc(1, 0)
-    else:
-        term = mp.mpf(1)
-        f = mp.mpf(1)
-    fz = f * 0
-    fzz = f * 0
-
-    j = 0
-    small_streak = 0
-    while True:
-        if complex_path:
-            ratio = (j - mu) * (j + 1 + mu) / ((j + n + 1) * (j + 1)) * z
-        else:
-            ratio = (j * (j + 1) + s) / ((j + n + 1) * (j + 1)) * z
-        term = term * ratio
-        j += 1
-        f += term
-        fz += j * term / z
-        if j > 1:
-            fzz += j * (j - 1) * term / (z * z)
-        if abs(term) <= tol * abs(f) and j > safe_j:
-            small_streak += 1
-            if small_streak >= 2:
-                break
-        else:
-            small_streak = 0
-        if j >= cfg.max_terms:
-            raise PrecisionError(
-                f"series did not meet tolerance within {cfg.max_terms} terms"
-            )
-
-    tail_rel = float(abs(term) / abs(f))
-    if complex_path:
-        scale = abs(f)
-        imag_rel = float(
-            (abs(f.imag) + abs(fz.imag) / (1 + abs(fz))) / scale
-        )
-        return _GaussSeries(f.real, fz.real, fzz.real, tail_rel, imag_rel)
-    return _GaussSeries(f, fz, fzz, tail_rel, 0.0)
+        _check_cancellation(peak, f, cfg, "Gauss series")
+        return _GaussSeries(f, fz, fzz, float(abs(term) / abs(f)))
 
 
-def _p_parts(n: int, gamma, xi, x, cfg: OracleConfig, complex_path: bool):
+def _p_parts(n: int, gamma, xi, x, cfg: OracleConfig):
     """Value, derivative and series data of p at the current precision."""
     xm = mp.mpf(x)
-    ser = _gauss_series(n, gamma, xi, x, cfg, complex_path)
+    ser = _gauss_series(n, gamma, xi, x, cfg)
     amp = mp.power((1 - xm) / (1 + xm), mp.mpf(n) / 2) / mp.factorial(n)
     one_minus_x2 = 1 - xm * xm
     value = amp * ser.f
@@ -211,49 +196,34 @@ def _p_parts(n: int, gamma, xi, x, cfg: OracleConfig, complex_path: bool):
 
 
 def p_reference(n: int, gamma: float, xi: float, x, cfg: OracleConfig | None = None) -> OracleValue:
-    """First-kind reference value via the Gauss series in complex arithmetic.
-
-    The imaginary residue of the complex-index evaluation is folded into
-    err_estimate as a realness certificate; the returned value is the
-    real part.  x may be a float or an mpf carried at working precision.
-    """
+    """First-kind reference value from the Gauss series at z = (1-x)/2 or,
+    below x = -0.9, where that converges like z^j -> 1, as q(-x)/c from the
+    connection series; where c has a Gamma pole the Gauss series
+    terminates and serves at every x.  x may be a float or an mpf carried
+    at working precision."""
     cfg = cfg or default_config()
     _validate_point(n, gamma, xi, x)
-    guard = _series_guard_digits(n, gamma, xi, x)
-    with mp.workdps(cfg.dps + guard):
-        value, deriv, _, ser = _p_parts(n, gamma, xi, x, cfg, complex_path=True)
-        return OracleValue(+value, +deriv, ser.tail_rel + ser.imag_rel)
-
-
-def p_reference_paths(
-    n: int, gamma: float, xi: float, x: float, cfg: OracleConfig | None = None
-) -> tuple[OracleValue, OracleValue]:
-    """Both series routes (complex-index and real-ratio) for route checks."""
-    cfg = cfg or default_config()
-    _validate_point(n, gamma, xi, x)
-    guard = _series_guard_digits(n, gamma, xi, x)
-    with mp.workdps(cfg.dps + guard):
-        vc, dc, _, sc = _p_parts(n, gamma, xi, x, cfg, complex_path=True)
-        vr, dr, _, sr = _p_parts(n, gamma, xi, x, cfg, complex_path=False)
-        return (
-            OracleValue(+vc, +dc, sc.tail_rel + sc.imag_rel),
-            OracleValue(+vr, +dr, sr.tail_rel),
-        )
+    with mp.workdps(cfg.dps + 10):
+        if x < -_REFLECT_MAX and not _c_has_pole(n, gamma, xi):
+            c = _q_constant(n, gamma, xi)
+            value, deriv, err = _q_connection(n, gamma, xi, -x, cfg)
+            return OracleValue(value / c, -deriv / c, err)
+        value, deriv, _, ser = _p_parts(n, gamma, xi, x, cfg)
+        return OracleValue(+value, +deriv, ser.tail_rel)
 
 
 def p_ode_residual(n: int, gamma: float, xi: float, x: float, cfg: OracleConfig | None = None) -> float:
-    """Relative residual of the series value in its defining equation.
+    """Relative residual of the Gauss-series value in its defining equation.
 
     All three derivatives come from term-wise differentiated series, so
     this is an internal-consistency certificate of the oracle itself.
     """
     cfg = cfg or default_config()
     _validate_point(n, gamma, xi, x)
-    guard = _series_guard_digits(n, gamma, xi, x)
-    with mp.workdps(cfg.dps + guard):
+    with mp.workdps(cfg.dps + 10):
         xm = mp.mpf(x)
         one_minus_x2 = 1 - xm * xm
-        value, deriv, amp, ser = _p_parts(n, gamma, xi, x, cfg, complex_path=True)
+        value, deriv, amp, ser = _p_parts(n, gamma, xi, x, cfg)
         # second derivative of amp(x) * F(z(x)), z = (1-x)/2
         second = (
             amp * ser.f * (n * n - 2 * n * xm) / one_minus_x2**2
@@ -280,21 +250,17 @@ def _q_constant(n: int, gamma: float, xi: float):
     return mp.re(mp.gamma(n - mu) * mp.gamma(n + 1 + mu)) / 2
 
 
-def _check_q_index(n: int, gamma: float, xi: float) -> None:
-    """q = c p(-x) needs p(x) and p(-x) independent, which they are not
-    where mu - n is a nonnegative integer: c has a Gamma pole there."""
+def _c_has_pole(n: int, gamma: float, xi: float) -> bool:
+    """Whether mu - n is a nonnegative integer, where c has a Gamma pole:
+    p(x) and p(-x) are dependent there and the Gauss series terminates."""
     mu = _mu_mpc(n, gamma, xi)
-    if mu.imag == 0 and mu.real >= n and mp.isint(mu.real):
-        raise DomainError(
-            f"the constant c in q = c p(-x) has a Gamma pole at mu = {mp.nstr(mu.real, 8)}"
-        )
+    return mu.imag == 0 and mu.real >= n and mp.isint(mu.real)
 
 
 def _q_reflection(n: int, gamma: float, xi: float, x, cfg: OracleConfig):
     """q = c p(-x) with p(-x) from the Gauss series at -x."""
     c = _q_constant(n, gamma, xi)
-    with mp.extradps(_series_guard_digits(n, gamma, xi, -x)):
-        pm, dm, _, ser = _p_parts(n, gamma, xi, -x, cfg, complex_path=False)
+    pm, dm, _, ser = _p_parts(n, gamma, xi, -x, cfg)
     return c * pm, -c * dm, ser.tail_rel
 
 
@@ -312,21 +278,23 @@ def _q_connection(n: int, gamma: float, xi: float, x, cfg: OracleConfig):
     D_k = psi(n-mu+k) + psi(n+1+mu+k) - psi(k+1) - psi(n+k+1), all real.
     The logarithmic terms rise like exp(2 sqrt(s w)) before they decay
     while q falls like its inverse, so twice the Gauss-series guard is
-    carried on both the working precision and the term tolerance.
+    carried on both the working precision and the term tolerance.  That
+    estimate holds for small w; the loop measures the cancellation it
+    meets and raises PrecisionError when it exceeds the guard.
     """
     guard = 2 * _series_guard_digits(n, gamma, xi, x)
     with mp.extradps(guard):
         w = (1 - mp.mpf(x)) / 2
         s = (n * mp.mpf(gamma)) ** 2 + 2 * mp.mpf(xi)
         tol = cfg.tol * mp.mpf(10) ** (-guard)
-        safe_k = _safe_index(s, cfg)
+        safe_k = _safe_index(s)
 
-        g = mp.mpf(0)
-        dg = mp.mpf(0)
+        g = dg = peak = mp.mpf(0)
         prod = mp.mpf(1)
         for k in range(n):
             term = prod * (-w) ** k * mp.factorial(n - 1 - k) / mp.factorial(k)
             g += term
+            peak = max(peak, abs(term))
             dg += k * term / w
             prod *= k * (k + 1) + s
 
@@ -342,6 +310,7 @@ def _q_connection(n: int, gamma: float, xi: float, x, cfg: OracleConfig):
             g += coef * a
             dg += coef * ((n + k) * a + 1) / w
             size = abs(coef) * (1 + abs(a))
+            peak = max(peak, size)
             if size <= tol * abs(g) and k > safe_k:
                 small_streak += 1
                 if small_streak >= 2:
@@ -352,11 +321,12 @@ def _q_connection(n: int, gamma: float, xi: float, x, cfg: OracleConfig):
             coef *= (nk * (nk + 1) + s) * w / ((k + 1) * (nk + 1))
             d += (2 * nk + 1) / (nk * (nk + 1) + s) - mp.mpf(1) / (k + 1) - mp.mpf(1) / (nk + 1)
             k += 1
-            if k >= cfg.max_terms:
+            if k >= MAX_TERMS:
                 raise PrecisionError(
-                    f"connection series did not meet tolerance within {cfg.max_terms} terms"
+                    f"connection series did not meet tolerance within {MAX_TERMS} terms"
                 )
 
+        _check_cancellation(peak, g, cfg, "connection series")
         amp = ((1 - w) / w) ** (mp.mpf(n) / 2) / 2
         value = amp * g
         # d/dx = -(1/2) d/dw, and 1 - x^2 = 4 w (1 - w)
@@ -367,8 +337,7 @@ def _q_connection(n: int, gamma: float, xi: float, x, cfg: OracleConfig):
 def _q_ode(n: int, gamma: float, xi: float, x, cfg: OracleConfig):
     """Transport q from 0 to x by adaptive Taylor integration of the ODE."""
     c = _q_constant(n, gamma, xi)
-    with mp.extradps(_series_guard_digits(n, gamma, xi, 0.0)):
-        p0, dp0, _, _ = _p_parts(n, gamma, xi, 0.0, cfg, complex_path=False)
+    p0, dp0, _, _ = _p_parts(n, gamma, xi, 0.0, cfg)
     gg = mp.mpf(gamma) ** 2
     xim = mp.mpf(xi)
     # odefun only marches forward, so track s = sign*t and flip derivatives.
@@ -408,7 +377,9 @@ def q_reference(
         method = "reflection" if x <= _REFLECT_MAX else "connection"
 
     with mp.workdps(cfg.dps + 10):
-        _check_q_index(n, gamma, xi)
+        if _c_has_pole(n, gamma, xi):
+            mu = mp.nstr(_mu_mpc(n, gamma, xi).real, 8)
+            raise DomainError(f"the constant c in q = c p(-x) has a Gamma pole at mu = {mu}")
         if method == "reflection":
             value, deriv, err = _q_reflection(n, gamma, xi, x, cfg)
         elif method == "connection":
@@ -435,7 +406,7 @@ def _derivs(c, e, zm) -> list:
     return [c, d1, d1 * (e - 1) / zm]
 
 
-def _ascending(n: int, zm, tol, cfg: OracleConfig):
+def _ascending(n: int, zm, tol):
     """One pass of the series in t_k = (z/2)^(n+2k) / (k! (n+k)!).
 
     Returns [I, I', I''] (DLMF 10.25.2), [S, S', S''] for the weighted sum
@@ -448,7 +419,7 @@ def _ascending(n: int, zm, tol, cfg: OracleConfig):
     w = mp.harmonic(n) - 2 * mp.euler  # psi(1) + psi(n+1)
     i = _derivs(t, n, zm)
     s = [w * v for v in i]
-    for k in range(1, cfg.max_terms + 1):
+    for k in range(1, MAX_TERMS + 1):
         t *= quarter / (k * (n + k))
         w += mp.mpf(n + 2 * k) / (k * (n + k))  # 1/k + 1/(n+k)
         for j, dt in enumerate(_derivs(t, n + 2 * k, zm)):
@@ -472,7 +443,7 @@ def _besselK_series(n: int, z: float, cfg: OracleConfig):
     guard = int(2 * z / math.log(10.0)) + 10
     with mp.workdps(cfg.dps + guard):
         zm = mp.mpf(z)
-        i, s, t, w = _ascending(n, zm, cfg.tol * mp.mpf(10) ** (-guard), cfg)
+        i, s, t, w = _ascending(n, zm, cfg.tol * mp.mpf(10) ** (-guard))
         ln_half = mp.log(zm / 2)
         ln_i = [ln_half * i[0], ln_half * i[1] + i[0] / zm,
                 ln_half * i[2] + (2 * i[1] - i[0] / zm) / zm]
@@ -509,7 +480,7 @@ def besselI_reference(n: int, z: float, cfg: OracleConfig | None = None) -> Orac
     _check_order_and_argument(n, z)
     # positive terms: ten guard digits cover the rounding of the sum
     with mp.workdps(cfg.dps + 10):
-        (i, di, _), _, t, _ = _ascending(n, mp.mpf(z), cfg.tol, cfg)
+        (i, di, _), _, t, _ = _ascending(n, mp.mpf(z), cfg.tol)
         return OracleValue(i, di, float(t / i))
 
 
@@ -527,7 +498,7 @@ def besselI_ode_residual(n: int, z: float, cfg: OracleConfig | None = None) -> f
     cfg = cfg or default_config()
     _check_order_and_argument(n, z)
     with mp.workdps(cfg.dps + 10):
-        return _bessel_ode_residual(n, z, _ascending(n, mp.mpf(z), cfg.tol, cfg)[0])
+        return _bessel_ode_residual(n, z, _ascending(n, mp.mpf(z), cfg.tol)[0])
 
 
 def besselK_ode_residual(n: int, z: float, cfg: OracleConfig | None = None) -> float:

@@ -3,65 +3,21 @@
 These were worked out by integrating the recurrences by hand, separately
 from the engine in `uniasym.recurrences`.  The test suite demands exact
 field equality between the two routes, so a slip on either side fails
-loudly.  Keep this file free of imports from `uniasym.recurrences`.
+loudly.  omega_1..omega_3, omega_bar_1 and psi_1 live in the package,
+where `uniasym check` also uses them; psi_2, psi_3 and the psi_bar forms
+are here.  Keep this file free of imports from `uniasym.recurrences`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from uniasym.closed_forms import closed_omega, closed_omega_bar
+from uniasym.closed_forms import dzg as _dzg
+from uniasym.closed_forms import p1 as _p1
 from uniasym.coeff import CoeffExpr
-from uniasym.exact import ExactScalar
 
-
-def _dzg(g: Fraction, zeta: Fraction) -> CoeffExpr:
-    # The single d-carrying building block: d * zeta / gamma.
-    coeff = ExactScalar.sqrt_g(g).inv() * ExactScalar.rational(zeta, g)
-    return CoeffExpr.monomial(g, zeta, 0, 1, 0, coeff)
-
-
-def closed_omega(k: int) -> CoeffExpr:
-    g, z = Fraction(1), Fraction(0)
-    if k == 1:
-        return CoeffExpr.poly_v(g, z, {1: Fraction(3, 24), 3: Fraction(-5, 24)})
-    if k == 2:
-        return CoeffExpr.poly_v(
-            g,
-            z,
-            {2: Fraction(81, 1152), 4: Fraction(-462, 1152), 6: Fraction(385, 1152)},
-        )
-    if k == 3:
-        return CoeffExpr.poly_v(
-            g,
-            z,
-            {
-                3: Fraction(30375, 414720),
-                5: Fraction(-369603, 414720),
-                7: Fraction(765765, 414720),
-                9: Fraction(-425425, 414720),
-            },
-        )
-    raise ValueError(f"no hand form for omega_{k}")
-
-
-def closed_omega_bar(k: int) -> CoeffExpr:
-    g, z = Fraction(1), Fraction(0)
-    if k == 1:
-        return CoeffExpr.poly_v(g, z, {1: Fraction(-9, 24), 3: Fraction(7, 24)})
-    raise ValueError(f"no hand form for omega_bar_{k}")
-
-
-def _p1(g: Fraction, zeta: Fraction) -> CoeffExpr:
-    gp1 = g + 1
-    return CoeffExpr.poly_v(
-        g,
-        zeta,
-        {
-            0: (2 * g + 3) / (24 * gp1),
-            1: (g - 1) / (8 * gp1),
-            3: -5 * g / (24 * gp1),
-        },
-    )
+__all__ = ["closed_omega", "closed_omega_bar", "closed_psi", "closed_psi_bar"]
 
 
 def _q2(g: Fraction, zeta: Fraction) -> CoeffExpr:

@@ -384,6 +384,45 @@ def test_errtable_stdout_matches_file(tmp_path, capsys, monkeypatch):
     assert stdout == out.read_text()
 
 
+# Recorded before p took the connection series below x = -0.9.  At theta
+# = 0.1 q takes the connection series (x > 0.9); at theta = 2.7 p does.
+ERRTABLE_BYTES = {
+    "0.1": (
+        "lambda,m,rel_err_p,rel_err_q\n"
+        "0.5,0,0.0097202942919809195,-0.013445604175786965\n"
+        "0.5,1,-0.0016277789034183422,-0.0018320622346039588\n"
+        "0.5,2,0.00013313091081279635,-2.9958949747733245e-05\n"
+        "0.5,3,3.8394307670300436e-05,6.6993854046751519e-05\n"
+        "2,0,0.029477410352349687,-0.030375535635561668\n"
+        "2,1,0.00034072043963929315,0.00055803849830322828\n"
+        "2,2,-0.00010873646767095239,8.0863204750058747e-05\n"
+        "2,3,-1.8347782582056933e-05,-1.5099826721177067e-05\n"
+    ),
+    "2.7": (
+        "lambda,m,rel_err_p,rel_err_q\n"
+        "0.5,0,-0.0073697797780741996,0.004855934583673358\n"
+        "0.5,1,-0.0012303238393166092,-0.0012090112435536591\n"
+        "0.5,2,6.4786920791656911e-05,7.0381699187581248e-05\n"
+        "0.5,3,7.52700647480898e-05,6.0025781524866377e-05\n"
+        "2,0,-0.0030623340716186237,0.0034831987674283651\n"
+        "2,1,0.00022508479575563512,0.0002172321143592043\n"
+        "2,2,-9.3184039768162031e-06,-1.5641475707606649e-05\n"
+        "2,3,-9.3577930345455421e-06,-1.5602343685293509e-05\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("theta", sorted(ERRTABLE_BYTES))
+def test_errtable_bytes_are_pinned(theta, capsys, monkeypatch):
+    monkeypatch.delenv("UNIASYM_ORACLE_DPS", raising=False)
+    rc, out, _ = run_cli(
+        capsys, "errtable", "--theta", theta, "--n", "4",
+        "--lambda-min", "0.5", "--lambda-max", "2", "--steps", "2",
+    )
+    assert rc == 0
+    assert out == ERRTABLE_BYTES[theta]
+
+
 def test_errtable_oracle_failure_flags_nan(capsys, monkeypatch):
     import uniasym.cli as cli_mod
 
@@ -443,7 +482,7 @@ ALL_CHECKS = [
     "n_scaling_window", "psi_endpoint_zero", "psi1_closed_form",
     "eta_profile_consistency", "expansion_wronskian_decreasing", "bessel_form_agreement",
     "cross_relation_magnitudes", "wronskian_residual<=1e-10", "p_ode_residual<=1e-25",
-    "q_methods_agree<=1e-25", "bessel_cross_wronskian", "realness_certificate",
+    "q_methods_agree<=1e-25", "bessel_cross_wronskian", "p_routes_agree",
     "limit_gap_shrinks",
 ]
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import math
+import time
 from pathlib import Path
 
 import mpmath as mp
@@ -23,14 +24,14 @@ from uniasym import (
     q_reference,
 )
 from uniasym import oracle, spectral
-from uniasym.checks import limit_gaps, oracle_wronskian_worst
+from uniasym.checks import limit_gaps, oracle_wronskian_worst, p_route_gap
 from uniasym.oracle import (
     ORACLE_DPS_ENV,
     besselI_ode_residual,
     besselK_ode_residual,
     default_config,
+    legendre_wronskian_residual,
     p_ode_residual,
-    p_reference_paths,
     q_methods_gap,
     _q_constant,
 )
@@ -43,8 +44,6 @@ CFG = OracleConfig(dps=40)
 def test_config_validation():
     with pytest.raises(UsageError):
         OracleConfig(dps=20)
-    with pytest.raises(UsageError):
-        OracleConfig(max_terms=0)
 
 
 def test_config_env_override(monkeypatch):
@@ -89,12 +88,14 @@ def test_point_validation():
         q_reference(1, 0.5, -1.125, 0.5, CFG)
 
 
-def test_series_budget_surfaces_precision_error():
-    tiny = OracleConfig(dps=30, max_terms=10)
-    with pytest.raises(PrecisionError):
-        p_reference(8, 5.0, 0.0, 0.5, tiny)
-    with pytest.raises(PrecisionError):
-        besselK_reference(4, 8.0, tiny)
+def test_series_budget_surfaces_precision_error(monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "MAX_TERMS", 10)
+        tiny = OracleConfig(dps=30)
+        with pytest.raises(PrecisionError):
+            p_reference(8, 5.0, 0.0, 0.5, tiny)
+        with pytest.raises(PrecisionError):
+            besselK_reference(4, 8.0, tiny)
     # Raised up front: n gamma beyond the float range, and series whose
     # terms change sign for more terms than the budget allows (about
     # 1.4e150 at xi = -1e300, 2.4e6 at xi = -3e12), in p and in the
@@ -109,13 +110,43 @@ def test_series_budget_surfaces_precision_error():
 
 # -- first-kind solution ---------------------------------------------------------
 
-def test_p_realness_certificate():
-    # mu is complex here; both series routes must agree and the imaginary
-    # residue must stay far below the working precision.
-    complex_route, real_route = p_reference_paths(1, 0.1, 0.0, 0.9, CFG)
-    gap = abs(complex_route.value - real_route.value) / abs(real_route.value)
-    assert float(gap) < 1e-35
-    assert complex_route.err_estimate < 1e-30
+@pytest.mark.parametrize(
+    # complex mu, real mu (xi = -1) and n = 1
+    "n,gamma,xi", [(4, 1.0, 0.0), (8, 25.0, 0.0), (4, 0.3, -1.0), (1, 0.3, -1.0), (1, 1.0, 0.0)]
+)
+def test_p_routes_agree_near_minus_one(n, gamma, xi):
+    # The Gauss series and the connection series are independent
+    # expansions of p; below x = -0.9 p_reference takes the connection.
+    for x in (-0.95, -0.94, -0.93, -0.92, -0.91, -0.9):
+        assert p_route_gap(n, gamma, xi, x, CFG) <= 10.0 ** -(CFG.dps - 5), x
+    x = -0.93
+    with mp.workdps(CFG.dps + 10):
+        conn = q_reference(n, gamma, xi, -x, CFG, method="connection").value
+        conn /= _q_constant(n, gamma, xi)
+        assert abs(p_reference(n, gamma, xi, x, CFG).value / conn - 1) < 1e-45
+
+
+def test_p_keeps_the_gauss_series_at_a_pole_of_c():
+    # mu = n = 1: c = Gamma(n - mu) Gamma(n + 1 + mu)/2 is infinite, so
+    # p(x) = q(-x)/c is unavailable; the Gauss series terminates instead,
+    # F(-1, 2; 2; z) = 1 - z, and p = sqrt(1 - x^2)/2.
+    x = -0.95
+    val = p_reference(1, 0.5, -1.125, x, CFG).value
+    assert float(val) == pytest.approx(0.15612494995996, rel=1e-13)
+    with mp.workdps(CFG.dps):
+        assert abs(val - mp.sqrt(1 - mp.mpf(x) ** 2) / 2) < 1e-38
+
+
+@pytest.mark.parametrize("n,lam", [(1, 0.01), (8, 5.0)])
+def test_p_near_minus_one_is_fast(n, lam):
+    # The oracle work of one errtable row at theta = 3.1, x = -0.9991,
+    # where the Gauss series for p converges like 0.9996^j: these rows
+    # took 10 s and 50 s of CPU before p took the connection series there.
+    theta = 3.1
+    start = time.process_time()
+    res = legendre_wronskian_residual(n, lam / math.sin(theta), 0.0, math.cos(theta))
+    assert time.process_time() - start < 1.0
+    assert res <= 1e-50
 
 
 def test_p_endpoint_asymptote():
@@ -185,6 +216,15 @@ def test_q_constant_matches_wronskian_pin(n, gamma, xi):
         c = _q_constant(n, gamma, xi)
         pin = -1 / (2 * p0.value * p0.derivative)
         assert float(abs(c - pin) / abs(pin)) < 1e-30
+
+
+def test_connection_series_reports_lost_digits():
+    # At x = 0 the logarithmic terms of the connection series outgrow q by
+    # about 645 digits, beyond the 618 its guard estimate gives; the value
+    # was off by a relative 8.7e6 with err_estimate 0.  The auto route
+    # takes this series only beyond x = 0.9.
+    with pytest.raises(PrecisionError):
+        q_reference(16, 30.0, 0.0, 0.0, OracleConfig(dps=30), method="connection")
 
 
 def test_q_routes_agree_to_working_precision():

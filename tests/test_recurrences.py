@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import ast
 import random
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import closed_forms
 from closed_forms import closed_omega, closed_omega_bar, closed_psi, closed_psi_bar
 from uniasym import (
     CoeffExpr,
@@ -27,6 +30,7 @@ from uniasym import (
     psi_plus,
     stirling_exp_coefficients,
 )
+from uniasym import closed_forms as package_closed_forms
 from uniasym import recurrences
 from uniasym.checks import psi_defects
 
@@ -68,6 +72,20 @@ def test_psi_bar_equals_hand_forms_at_random_triples():
             gen, hand = psi_bar(k, g, zeta), closed_psi_bar(k, g, zeta)
             assert gen == hand
             assert gen.eval_exact_v(v) == hand.eval_exact_v(v)
+
+
+def test_closed_forms_do_not_import_the_recurrences():
+    # The hand forms grade the recurrence engine, so neither file may use it.
+    for module in (package_closed_forms, closed_forms):
+        tree = ast.parse(Path(module.__file__).read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.add((node.module or "").rpartition(".")[2])
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name.rpartition(".")[2] for alias in node.names)
+        assert "recurrences" not in imported, module.__file__
 
 
 def test_omega_closed_forms():
