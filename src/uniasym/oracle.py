@@ -5,19 +5,21 @@ Legendre-type solution p, and the second q = c p(-x) with the constant c
 in closed form, from one real Gauss series and one logarithmic connection
 series, each used only near the end where it converges fast; the
 ascending series for I_n, and the integer-order series for K_n (DLMF
-10.31.1).  Everything runs in arbitrary-precision arithmetic; every
-series stops at a relative tail of 10^-dps and reports it as its error
-estimate, and the two hypergeometric series raise PrecisionError when
-their terms cancel more digits than their guard carries.  Orders of
-magnitude slower than the expansion evaluators, by design.
+10.31.1).  Everything runs in arbitrary-precision arithmetic, and one loop
+sums every series: it carries the value and the first derivative, stops
+once a geometric bound on the tail of both, as the caller assembles them,
+is below 10^-dps of each, and reports that bound plus the rounding floor
+as its error estimate.  It raises PrecisionError when the terms cancel
+more digits than the guard carries.  Orders of magnitude slower than the
+expansion evaluators, by design.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import mpmath as mp
 
@@ -62,7 +64,8 @@ def default_config() -> OracleConfig:
 
 @dataclass(frozen=True)
 class OracleValue:
-    """A reference value with its derivative and a relative error estimate."""
+    """A reference value with its derivative and a relative error estimate
+    that bounds the error of both."""
 
     value: mp.mpf
     derivative: mp.mpf
@@ -122,13 +125,80 @@ def _series_guard_digits(n: int, gamma: float, xi: float, x: float) -> int:
     return guard
 
 
-def _check_cancellation(peak, total, cfg: OracleConfig, series: str) -> None:
-    """Raise when the largest term outgrew the sum by more digits than the
+def _check_cancellation(spread, total, cfg: OracleConfig, series: str) -> None:
+    """Raise when the terms' spread outgrew the sum by more digits than the
     working precision carries beyond dps: the result lost them."""
     spare = mp.mp.dps - cfg.dps
-    if peak > abs(total) * mp.mpf(10) ** spare:
-        lost = mp.nstr(mp.log10(peak / abs(total)), 5) if total else "all"
+    if spread > abs(total) * mp.mpf(10) ** spare:
+        lost = mp.nstr(mp.log10(spread / abs(total)), 5) if total else "all"
         raise PrecisionError(f"{series} cancels {lost} digits, beyond its {spare} guard digits")
+
+
+def _sum_series(steps, weights, safe: int, limit, cfg: OracleConfig, series: str):
+    """Sum a series whose terms have several components, and assemble the
+    value sum_i a_i S_i and the derivative sum_i b_i S_i of the component
+    sums S_i, weights = (a, b).
+
+    steps yields (terms, ratio): one term per component, and a ratio R_j
+    that no component's next term ratio exceeds.  Past index safe, every
+    component's terms keep one sign and no later ratio exceeds
+    R = max(R_j, limit), so what is left of component i is at most
+    |t_i| R/(1-R).  The sum stops once these tails, weighted like the sums,
+    are at most 10^-dps of the value and of the derivative.  Returns the
+    value, the derivative and the larger relative tail bound plus the
+    rounding floor: the sums' rounding at the working precision, and the
+    caller's rounding to dps + 10 digits.
+
+    The loop tracks each component's largest term up to safe; past it the
+    terms keep one sign, so no partial sum of component i exceeds
+    peak_i + |S_i|.  Weighted like the value, these spreads over |value|
+    measure what the sums and their assembly cancel: beyond the guard
+    digits that raises PrecisionError, and below it they scale the
+    rounding floor.
+    """
+    a, b = weights
+    abs_a, abs_b = [abs(c) for c in a], [abs(c) for c in b]
+    tol = cfg.tol
+    # The value test needs share max|a_i t_i| <= tol |value|.  On the powers
+    # of two of mp.mag, good to a factor 4, that is a cheap gate, with
+    # |value| <= len(live) max|a_i S_i| or, after a failed test,
+    # |value| + tail_v.
+    live = [(i, mp.mag(c)) for i, c in enumerate(a) if c]
+    gate = 4 - cfg.dps * math.log2(10)
+    room = None
+    sums = [mp.mpf(0)] * len(a)
+    peaks = list(sums)
+    for j, (terms, ratio) in enumerate(steps):
+        if j >= MAX_TERMS:
+            raise PrecisionError(f"{series} did not meet tolerance within {MAX_TERMS} terms")
+        sums = [s + t for s, t in zip(sums, terms)]
+        if j <= safe:
+            peaks = [max(p, abs(t)) for p, t in zip(peaks, terms)]
+        elif (big := max(abs(ratio), limit)) < 1:
+            share = big / (1 - big)
+            lead = max(m + mp.mag(terms[i]) for i, m in live)
+            top = room if room is not None else (
+                max(m + mp.mag(sums[i]) for i, m in live) + math.log2(len(live)))
+            if share and lead - top > gate - math.log2(share):
+                continue
+            mags = [abs(t) for t in terms]
+            value = mp.fdot(a, sums)
+            tail_v = share * mp.fdot(abs_a, mags)
+            room = mp.mag(abs(value) + tail_v)
+            if tail_v <= tol * abs(value):
+                deriv = mp.fdot(b, sums)
+                tail_d = share * mp.fdot(abs_b, mags)
+                if tail_d <= tol * abs(deriv):
+                    break
+
+    spread = [p + abs(s) for p, s in zip(peaks, sums)]
+    _check_cancellation(mp.fdot(abs_a, spread), value, cfg, series)
+    rounding = (j + 1) * mp.eps
+    err = max(
+        (tail + rounding * mp.fdot(w, spread)) / abs(total)
+        for w, tail, total in ((abs_a, tail_v, value), (abs_b, tail_d, deriv))
+    )
+    return value, deriv, float(err) + 10.0 ** -(cfg.dps + 10)
 
 
 def _mu_mpc(n: int, gamma, xi) -> mp.mpc:
@@ -139,60 +209,32 @@ def _mu_mpc(n: int, gamma, xi) -> mp.mpc:
     return mp.mpc(-0.5, 0) + root / 2
 
 
-class _GaussSeries(NamedTuple):
-    """Accumulated F, F', F'' of F(-mu, mu+1; n+1; z) at fixed z."""
+def _gauss_steps(n: int, s, z):
+    """Terms of F(-mu, mu+1; n+1; z) and of dF/dz.  The term ratio
+    r_j = (j(j+1) + s) z / ((j+n+1)(j+1)) is real for real and
+    complex-conjugate index mu alike.  Past j(j+1) > -s the ratios of F
+    fall and rise back toward z, or only rise toward it, and those of
+    dF/dz, r_j (j+1)/j, do the same, so max(r_j (j+1)/j, z) bounds every
+    later ratio of both."""
+    t = mp.mpf(1)
+    for j in itertools.count():
+        r = (j * (j + 1) + s) / ((j + n + 1) * (j + 1)) * z
+        yield (t, j * t / z), float(r) * (j + 1) / max(j, 1)
+        t *= r
 
-    f: mp.mpf
-    fz: mp.mpf
-    fzz: mp.mpf
-    tail_rel: float
 
-
-def _gauss_series(n: int, gamma, xi, x, cfg: OracleConfig) -> _GaussSeries:
-    """Sum the defining series at z = (1-x)/2 with the guard digits of its
-    hump.  The term ratio (j(j+1) + s) z / ((j+n+1)(j+1)), s = n^2 g + 2 xi,
-    is real for real and complex-conjugate index mu alike."""
+def _gauss_series(n: int, gamma, xi, x, cfg: OracleConfig):
+    """p and p' at x from the Gauss series at z = (1-x)/2, with the guard
+    digits of its hump: p = amp F with amp = ((1-x)/(1+x))^(n/2)/n!, and
+    dz/dx = -1/2."""
     with mp.extradps(_series_guard_digits(n, gamma, xi, x)):
-        z = (1 - mp.mpf(x)) / 2
+        xm = mp.mpf(x)
+        z = (1 - xm) / 2
         s = (n * mp.mpf(gamma)) ** 2 + 2 * mp.mpf(xi)
-        safe_j = _safe_index(s)
-        tol = cfg.tol
-
-        term = f = peak = mp.mpf(1)
-        fz = fzz = mp.mpf(0)
-        j = 0
-        small_streak = 0
-        while True:
-            term = term * ((j * (j + 1) + s) / ((j + n + 1) * (j + 1)) * z)
-            j += 1
-            f += term
-            fz += j * term / z
-            if j > 1:
-                fzz += j * (j - 1) * term / (z * z)
-            if j <= safe_j:  # beyond, the terms keep one sign and shrink
-                peak = max(peak, abs(term))
-            if abs(term) <= tol * abs(f) and j > safe_j:
-                small_streak += 1
-                if small_streak >= 2:
-                    break
-            else:
-                small_streak = 0
-            if j >= MAX_TERMS:
-                raise PrecisionError(f"series did not meet tolerance within {MAX_TERMS} terms")
-
-        _check_cancellation(peak, f, cfg, "Gauss series")
-        return _GaussSeries(f, fz, fzz, float(abs(term) / abs(f)))
-
-
-def _p_parts(n: int, gamma, xi, x, cfg: OracleConfig):
-    """Value, derivative and series data of p at the current precision."""
-    xm = mp.mpf(x)
-    ser = _gauss_series(n, gamma, xi, x, cfg)
-    amp = mp.power((1 - xm) / (1 + xm), mp.mpf(n) / 2) / mp.factorial(n)
-    one_minus_x2 = 1 - xm * xm
-    value = amp * ser.f
-    deriv = value * (-n / one_minus_x2) - amp * ser.fz / 2
-    return value, deriv, amp, ser
+        amp = mp.power((1 - xm) / (1 + xm), mp.mpf(n) / 2) / mp.factorial(n)
+        weights = ((amp, 0), (-amp * n / (1 - xm * xm), -amp / 2))
+        steps = _gauss_steps(n, s, z)
+        return _sum_series(steps, weights, _safe_index(s), float(z), cfg, "Gauss series")
 
 
 def p_reference(n: int, gamma: float, xi: float, x, cfg: OracleConfig | None = None) -> OracleValue:
@@ -208,32 +250,8 @@ def p_reference(n: int, gamma: float, xi: float, x, cfg: OracleConfig | None = N
             c = _q_constant(n, gamma, xi)
             value, deriv, err = _q_connection(n, gamma, xi, -x, cfg)
             return OracleValue(value / c, -deriv / c, err)
-        value, deriv, _, ser = _p_parts(n, gamma, xi, x, cfg)
-        return OracleValue(+value, +deriv, ser.tail_rel)
-
-
-def p_ode_residual(n: int, gamma: float, xi: float, x: float, cfg: OracleConfig | None = None) -> float:
-    """Relative residual of the Gauss-series value in its defining equation.
-
-    All three derivatives come from term-wise differentiated series, so
-    this is an internal-consistency certificate of the oracle itself.
-    """
-    cfg = cfg or default_config()
-    _validate_point(n, gamma, xi, x)
-    with mp.workdps(cfg.dps + 10):
-        xm = mp.mpf(x)
-        one_minus_x2 = 1 - xm * xm
-        value, deriv, amp, ser = _p_parts(n, gamma, xi, x, cfg)
-        # second derivative of amp(x) * F(z(x)), z = (1-x)/2
-        second = (
-            amp * ser.f * (n * n - 2 * n * xm) / one_minus_x2**2
-            + amp * ser.fz * n / one_minus_x2
-            + amp * ser.fzz / 4
-        )
-        coeff = (n * mp.mpf(gamma)) ** 2 + n * n / one_minus_x2 + 2 * mp.mpf(xi)
-        residual = one_minus_x2 * second - 2 * xm * deriv - coeff * value
-        scale = abs(one_minus_x2 * second) + abs(2 * xm * deriv) + abs(coeff * value)
-        return float(abs(residual) / scale)
+        value, deriv, err = _gauss_series(n, gamma, xi, x, cfg)
+        return OracleValue(+value, +deriv, err)
 
 
 # -- second solution -----------------------------------------------------
@@ -260,8 +278,34 @@ def _c_has_pole(n: int, gamma: float, xi: float) -> bool:
 def _q_reflection(n: int, gamma: float, xi: float, x, cfg: OracleConfig):
     """q = c p(-x) with p(-x) from the Gauss series at -x."""
     c = _q_constant(n, gamma, xi)
-    pm, dm, _, ser = _p_parts(n, gamma, xi, -x, cfg)
-    return c * pm, -c * dm, ser.tail_rel
+    pm, dm, err = _gauss_series(n, gamma, xi, -x, cfg)
+    return c * pm, -c * dm, err
+
+
+def _connection_steps(n: int, s, w, d):
+    """Terms of the four sums that make up the connection series of
+    _q_connection: B = sum C_k, D = sum C_k D_k, B' = sum (n+k) C_k and
+    D' = sum C_k ((n+k) D_k + 1), C_k = -(-1)^n P_(n+k) w^(n+k)/(k! (n+k)!).
+    The n terms of the finite sum come first, in D and D', and d is D_0.
+
+    The ratio of C_k, r = (m(m+1) + s) w / ((k+1)(m+1)) with m = n+k,
+    falls toward w for s >= 0, and D_k falls toward 0, so r (m+1)/m bounds
+    every later ratio of all four.  For s < 0 it is an estimate: r may
+    rise a little above w before it settles, and D_k need not fall.
+    """
+    prod = mp.mpf(1)
+    for k in range(n):
+        term = prod * (-w) ** k * mp.factorial(n - 1 - k) / mp.factorial(k)
+        yield (0, term, 0, k * term), 0
+        prod *= k * (k + 1) + s
+
+    coef = -((-1) ** n) * prod * w**n / mp.factorial(n)
+    for k in itertools.count():
+        m = n + k
+        r = (m * (m + 1) + s) * w / ((k + 1) * (m + 1))
+        yield (coef, coef * d, coef * m, coef * (m * d + 1)), float(r) * (m + 1) / m
+        coef *= r
+        d += (2 * m + 1) / (m * (m + 1) + s) - mp.mpf(1) / (k + 1) - mp.mpf(1) / (m + 1)
 
 
 def _q_connection(n: int, gamma: float, xi: float, x, cfg: OracleConfig):
@@ -278,80 +322,25 @@ def _q_connection(n: int, gamma: float, xi: float, x, cfg: OracleConfig):
     D_k = psi(n-mu+k) + psi(n+1+mu+k) - psi(k+1) - psi(n+k+1), all real.
     The logarithmic terms rise like exp(2 sqrt(s w)) before they decay
     while q falls like its inverse, so twice the Gauss-series guard is
-    carried on both the working precision and the term tolerance.  That
-    estimate holds for small w; the loop measures the cancellation it
-    meets and raises PrecisionError when it exceeds the guard.
+    carried on the working precision.  That estimate holds for small w;
+    the loop measures the cancellation it meets and raises PrecisionError
+    when it exceeds the guard.
     """
-    guard = 2 * _series_guard_digits(n, gamma, xi, x)
-    with mp.extradps(guard):
+    with mp.extradps(2 * _series_guard_digits(n, gamma, xi, x)):
         w = (1 - mp.mpf(x)) / 2
         s = (n * mp.mpf(gamma)) ** 2 + 2 * mp.mpf(xi)
-        tol = cfg.tol * mp.mpf(10) ** (-guard)
-        safe_k = _safe_index(s)
-
-        g = dg = peak = mp.mpf(0)
-        prod = mp.mpf(1)
-        for k in range(n):
-            term = prod * (-w) ** k * mp.factorial(n - 1 - k) / mp.factorial(k)
-            g += term
-            peak = max(peak, abs(term))
-            dg += k * term / w
-            prod *= k * (k + 1) + s
-
         mu = _mu_mpc(n, gamma, xi)
         # D_0, with psi(1) + psi(n+1) = H_n - 2 euler
         d = mp.re(mp.digamma(n - mu) + mp.digamma(n + 1 + mu)) + 2 * mp.euler - mp.harmonic(n)
         ln_w = mp.log(w)
-        coef = -((-1) ** n) * prod * w**n / mp.factorial(n)
-        k = 0
-        small_streak = 0
-        while True:
-            a = ln_w + d
-            g += coef * a
-            dg += coef * ((n + k) * a + 1) / w
-            size = abs(coef) * (1 + abs(a))
-            peak = max(peak, size)
-            if size <= tol * abs(g) and k > safe_k:
-                small_streak += 1
-                if small_streak >= 2:
-                    break
-            else:
-                small_streak = 0
-            nk = n + k
-            coef *= (nk * (nk + 1) + s) * w / ((k + 1) * (nk + 1))
-            d += (2 * nk + 1) / (nk * (nk + 1) + s) - mp.mpf(1) / (k + 1) - mp.mpf(1) / (nk + 1)
-            k += 1
-            if k >= MAX_TERMS:
-                raise PrecisionError(
-                    f"connection series did not meet tolerance within {MAX_TERMS} terms"
-                )
-
-        _check_cancellation(peak, g, cfg, "connection series")
         amp = ((1 - w) / w) ** (mp.mpf(n) / 2) / 2
-        value = amp * g
-        # d/dx = -(1/2) d/dw, and 1 - x^2 = 4 w (1 - w)
-        deriv = value * n / (4 * w * (1 - w)) - amp * dg / 2
-        return +value, +deriv, float(size / abs(g))
-
-
-def _q_ode(n: int, gamma: float, xi: float, x, cfg: OracleConfig):
-    """Transport q from 0 to x by adaptive Taylor integration of the ODE."""
-    c = _q_constant(n, gamma, xi)
-    p0, dp0, _, _ = _p_parts(n, gamma, xi, 0.0, cfg)
-    gg = mp.mpf(gamma) ** 2
-    xim = mp.mpf(xi)
-    # odefun only marches forward, so track s = sign*t and flip derivatives.
-    sign = 1 if x >= 0 else -1
-
-    def rhs(s, y):
-        t = sign * s
-        one_minus_t2 = 1 - t * t
-        coeff = (n * n) * gg + (n * n) / one_minus_t2 + 2 * xim
-        return [sign * y[1], sign * (2 * t * y[1] + coeff * y[0]) / one_minus_t2]
-
-    fn = mp.odefun(rhs, 0, [c * p0, -c * dp0])
-    val, der = fn(sign * x)
-    return val, der
+        # the bracket is ln_w B + D, its w-derivative (ln_w B' + D')/w; and
+        # d/dx = -(1/2) d/dw, 1 - x^2 = 4 w (1 - w)
+        e = n / (4 * w * (1 - w))
+        weights = ((amp * ln_w, amp, 0, 0),
+                   (amp * ln_w * e, amp * e, -amp * ln_w / (2 * w), -amp / (2 * w)))
+        steps = _connection_steps(n, s, w, d)
+        return _sum_series(steps, weights, n + _safe_index(s), float(w), cfg, "connection series")
 
 
 def q_reference(
@@ -364,14 +353,14 @@ def q_reference(
 ) -> OracleValue:
     """Second-kind reference value q(x) = c p(-x), c in closed form.
 
-    method: "reflection" (Gauss series at -x; default for x <= 0.9),
-    "connection" (series about x = 1; default beyond), or "ode" (Taylor
-    transport from 0).  x may be a float or an mpf carried at working
-    precision.
+    method: "reflection" (Gauss series at -x; default for x <= 0.9) or
+    "connection" (series about x = 1; default beyond).  Both stop on a
+    bound on the tail of q and of q'.  x may be a float or an mpf carried
+    at working precision.
     """
     cfg = cfg or default_config()
     _validate_point(n, gamma, xi, x)
-    if method not in ("auto", "reflection", "connection", "ode"):
+    if method not in ("auto", "reflection", "connection"):
         raise UsageError(f"unknown method {method!r}")
     if method == "auto":
         method = "reflection" if x <= _REFLECT_MAX else "connection"
@@ -382,94 +371,25 @@ def q_reference(
             raise DomainError(f"the constant c in q = c p(-x) has a Gamma pole at mu = {mu}")
         if method == "reflection":
             value, deriv, err = _q_reflection(n, gamma, xi, x, cfg)
-        elif method == "connection":
-            value, deriv, err = _q_connection(n, gamma, xi, x, cfg)
         else:
-            value, deriv = _q_ode(n, gamma, xi, x, cfg)
-            err = 10.0 ** (-(cfg.dps - 10))
+            value, deriv, err = _q_connection(n, gamma, xi, x, cfg)
         return OracleValue(+value, +deriv, err)
-
-
-def q_methods_gap(n: int, gamma: float, xi: float, x: float, cfg: OracleConfig | None = None) -> float:
-    """Relative gap between the closed and ODE-transported q constructions."""
-    cfg = cfg or default_config()
-    a = q_reference(n, gamma, xi, x, cfg)
-    b = q_reference(n, gamma, xi, x, cfg, method="ode")
-    return float(abs(a.value - b.value) / abs(a.value))
 
 
 # -- modified Bessel references -------------------------------------------
 
-def _derivs(c, e, zm) -> list:
-    """A term c = a z^e followed by its first two z-derivatives."""
-    d1 = c * e / zm
-    return [c, d1, d1 * (e - 1) / zm]
-
-
-def _ascending(n: int, zm, tol):
-    """One pass of the series in t_k = (z/2)^(n+2k) / (k! (n+k)!).
-
-    Returns [I, I', I''] (DLMF 10.25.2), [S, S', S''] for the weighted sum
-    S = sum (psi(k+1) + psi(n+k+1)) t_k of DLMF 10.31.1, and the last term
-    with its weight.  The terms are positive; they stop at tol relative to
-    the partial I.
-    """
+def _ascending_steps(n: int, zm):
+    """Terms of I_n = sum t_k, t_k = (z/2)^(n+2k) / (k! (n+k)!) (DLMF
+    10.25.2), and of I_n'.  Both factors of the ratio of I_n' terms,
+    r = (z/2)^2 / ((k+1)(n+k+1)) and (n+2k+2)/(n+2k), fall, so their
+    product bounds every later ratio of both sums."""
     quarter = zm * zm / 4
     t = (zm / 2) ** n / mp.factorial(n)
-    w = mp.harmonic(n) - 2 * mp.euler  # psi(1) + psi(n+1)
-    i = _derivs(t, n, zm)
-    s = [w * v for v in i]
-    for k in range(1, MAX_TERMS + 1):
-        t *= quarter / (k * (n + k))
-        w += mp.mpf(n + 2 * k) / (k * (n + k))  # 1/k + 1/(n+k)
-        for j, dt in enumerate(_derivs(t, n + 2 * k, zm)):
-            i[j] += dt
-            s[j] += w * dt
-        if t <= tol * i[0]:
-            return i, s, t, w
-    raise PrecisionError("ascending Bessel series did not converge within budget")
-
-
-def _besselK_series(n: int, z: float, cfg: OracleConfig):
-    """[K_n, K_n', K_n''] and the relative tail by DLMF 10.31.1,
-
-        K_n = (1/2) sum_{k<n} (n-k-1)!/k! (-z^2/4)^k (z/2)^(-n)
-              + (-1)^n (S/2 - ln(z/2) I_n).
-
-    I_n grows like e^z while K_n falls like e^-z, so the parts cancel by
-    about e^(2z): that many guard digits go on the working precision and
-    on the stop tolerance.
-    """
-    guard = int(2 * z / math.log(10.0)) + 10
-    with mp.workdps(cfg.dps + guard):
-        zm = mp.mpf(z)
-        i, s, t, w = _ascending(n, zm, cfg.tol * mp.mpf(10) ** (-guard))
-        ln_half = mp.log(zm / 2)
-        ln_i = [ln_half * i[0], ln_half * i[1] + i[0] / zm,
-                ln_half * i[2] + (2 * i[1] - i[0] / zm) / zm]
-        sign = -1 if n % 2 else 1
-        k_n = [sign * (sv / 2 - lv) for sv, lv in zip(s, ln_i)]
-        c = mp.factorial(n - 1) / (zm / 2) ** n / 2 if n else 0
-        for k in range(n):
-            if k:
-                c *= -zm * zm / (4 * k * (n - k))
-            for j, dc in enumerate(_derivs(c, 2 * k - n, zm)):
-                k_n[j] += dc
-        return k_n, float(t * (abs(ln_half) + abs(w)) / k_n[0])
-
-
-def _check_order_and_argument(n: int, z: float) -> None:
-    if n < 0:
-        raise DomainError(f"order must be nonnegative, got {n}")
-    if not (z > 0 and math.isfinite(z)):
-        raise DomainError(f"argument must be positive and finite, got {z}")
-
-
-def _bessel_ode_residual(n: int, z: float, w) -> float:
-    """Relative residual of [w, w', w''] in w'' + w'/z - (1 + n^2/z^2) w = 0."""
-    zm = mp.mpf(z)
-    parts = (w[2], w[1] / zm, -(1 + (n / zm) ** 2) * w[0])
-    return float(abs(mp.fsum(parts)) / mp.fsum(parts, absolute=True))
+    for k in itertools.count():
+        e = n + 2 * k
+        r = quarter / ((k + 1) * (n + k + 1))
+        yield (t, t * e / zm), float(r) * (e + 2) / max(e, 1)
+        t *= r
 
 
 def besselI_reference(n: int, z: float, cfg: OracleConfig | None = None) -> OracleValue:
@@ -480,34 +400,60 @@ def besselI_reference(n: int, z: float, cfg: OracleConfig | None = None) -> Orac
     _check_order_and_argument(n, z)
     # positive terms: ten guard digits cover the rounding of the sum
     with mp.workdps(cfg.dps + 10):
-        (i, di, _), _, t, _ = _ascending(n, mp.mpf(z), cfg.tol)
-        return OracleValue(i, di, float(t / i))
+        steps = _ascending_steps(n, mp.mpf(z))
+        value, deriv, err = _sum_series(steps, ((1, 0), (0, 1)), 1, 0, cfg, "ascending series")
+        return OracleValue(+value, +deriv, err)
+
+
+def _besselK_steps(n: int, zm):
+    """Terms of I_n, I_n', and of the weighted sum S = sum W_k t_k,
+    W_k = psi(k+1) + psi(n+k+1), of DLMF 10.31.1 and of S', led by the n
+    terms of its finite sum.  These go into S and S' times 2 (-1)^n, which
+    the weight (-1)^n/2 of S undoes.  W_k > 0 from k = 1 on and
+    W_(k+1)/W_k falls, so the next ratio of S' bounds every later ratio of
+    all four sums."""
+    c = (-1) ** n * mp.factorial(n - 1) / (zm / 2) ** n if n else 0
+    for k in range(n):
+        if k:
+            c *= -zm * zm / (4 * k * (n - k))
+        yield (0, 0, c, c * (2 * k - n) / zm), 0
+    wk = mp.harmonic(n) - 2 * mp.euler  # psi(1) + psi(n+1)
+    for k, ((t, dt), ratio) in enumerate(_ascending_steps(n, zm)):
+        w_next = wk + mp.mpf(n + 2 * k + 2) / ((k + 1) * (n + k + 1))  # + 1/(k+1) + 1/(n+k+1)
+        yield (t, dt, wk * t, wk * dt), ratio * float(w_next / wk)
+        wk = w_next
 
 
 def besselK_reference(n: int, z: float, cfg: OracleConfig | None = None) -> OracleValue:
-    """K_n(z) and K_n'(z) by the integer-order series DLMF 10.31.1, the
-    derivative term-wise in the same pass; err_estimate is its tail."""
-    cfg = cfg or default_config()
-    _check_order_and_argument(n, z)
-    (value, deriv, _), err = _besselK_series(n, z, cfg)
-    return OracleValue(value, deriv, err)
+    """K_n(z) and K_n'(z) by the integer-order series DLMF 10.31.1,
 
+        K_n = (1/2) sum_{k<n} (n-k-1)!/k! (-z^2/4)^k (z/2)^(-n)
+              + (-1)^n (S/2 - ln(z/2) I_n),
 
-def besselI_ode_residual(n: int, z: float, cfg: OracleConfig | None = None) -> float:
-    """Relative residual of the I-series in w'' + w'/z - (1 + n^2/z^2) w = 0."""
-    cfg = cfg or default_config()
-    _check_order_and_argument(n, z)
-    with mp.workdps(cfg.dps + 10):
-        return _bessel_ode_residual(n, z, _ascending(n, mp.mpf(z), cfg.tol)[0])
-
-
-def besselK_ode_residual(n: int, z: float, cfg: OracleConfig | None = None) -> float:
-    """Residual in the same equation of the K-series of DLMF 10.31.1, whose
-    value and two derivatives all come term-wise from one pass at any z."""
+    the derivative term-wise in the same pass.  I_n grows like e^z while
+    K_n falls like e^-z, so the parts cancel by about e^(2z): that many
+    guard digits go on the working precision, and the stop rule bounds the
+    tail relative to K itself.
+    """
     cfg = cfg or default_config()
     _check_order_and_argument(n, z)
     with mp.workdps(cfg.dps + 10):
-        return _bessel_ode_residual(n, z, _besselK_series(n, z, cfg)[0])
+        with mp.extradps(int(2 * z / math.log(10.0))):
+            zm = mp.mpf(z)
+            ln_half = mp.log(zm / 2)
+            sign = -1 if n % 2 else 1
+            weights = ((-sign * ln_half, 0, sign / 2, 0),
+                       (-sign / zm, -sign * ln_half, 0, sign / 2))
+            steps = _besselK_steps(n, zm)
+            value, deriv, err = _sum_series(steps, weights, n + 1, 0, cfg, "K series")
+        return OracleValue(+value, +deriv, err)
+
+
+def _check_order_and_argument(n: int, z: float) -> None:
+    if n < 0:
+        raise DomainError(f"order must be nonnegative, got {n}")
+    if not (z > 0 and math.isfinite(z)):
+        raise DomainError(f"argument must be positive and finite, got {z}")
 
 
 def legendre_wronskian_residual(

@@ -481,9 +481,8 @@ ALL_CHECKS = [
     "prefactor_product", "wronskian_residual_decreasing", "order_improvement_oracle",
     "n_scaling_window", "psi_endpoint_zero", "psi1_closed_form",
     "eta_profile_consistency", "expansion_wronskian_decreasing", "bessel_form_agreement",
-    "cross_relation_magnitudes", "wronskian_residual<=1e-10", "p_ode_residual<=1e-25",
-    "q_methods_agree<=1e-25", "bessel_cross_wronskian", "p_routes_agree",
-    "limit_gap_shrinks",
+    "cross_relation_magnitudes", "wronskian_residual<=1e-10", "ferrers_gap",
+    "bessel_cross_wronskian", "p_routes_agree", "limit_gap_shrinks",
 ]
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from uniasym import (
@@ -24,15 +24,11 @@ from uniasym import (
     q_reference,
 )
 from uniasym import oracle, spectral
-from uniasym.checks import limit_gaps, oracle_wronskian_worst, p_route_gap
+from uniasym.checks import ferrers_gap, limit_gaps, oracle_wronskian_worst, p_route_gap
 from uniasym.oracle import (
     ORACLE_DPS_ENV,
-    besselI_ode_residual,
-    besselK_ode_residual,
     default_config,
     legendre_wronskian_residual,
-    p_ode_residual,
-    q_methods_gap,
     _q_constant,
 )
 
@@ -55,7 +51,8 @@ def test_config_env_override(monkeypatch):
 
 def test_oracle_is_independent_of_the_evaluators():
     # The oracle and the spectral cross-check grade the evaluators and the
-    # exact kernel, so neither may import them; and neither calls a quadrature.
+    # exact kernel, so neither may import them; neither calls a quadrature
+    # or an ODE solver, nor the mpmath functions that witness the oracle.
     for module in (oracle, spectral):
         tree = ast.parse(Path(module.__file__).read_text())
         modules, calls = set(), set()
@@ -70,6 +67,7 @@ def test_oracle_is_independent_of_the_evaluators():
                 calls.add(func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", ""))
         assert not modules & {"legendre", "bessel", "coeff", "recurrences", "exact"}, module
         assert not [name for name in calls if name.startswith("quad")], module
+        assert not calls & {"odefun", "legenp", "besseli", "besselk"}, module
 
 
 def test_point_validation():
@@ -83,6 +81,8 @@ def test_point_validation():
         q_reference(4, 1.0, 0.0, 0.5, CFG, method="bogus")
     with pytest.raises(UsageError):
         q_reference(4, 1.0, 0.0, 0.95, CFG, method="integral")
+    with pytest.raises(UsageError):
+        q_reference(4, 1.0, 0.0, 0.5, CFG, method="ode")
     # mu = n = 1: p(x) and p(-x) are dependent, so q = c p(-x) has no c
     with pytest.raises(DomainError):
         q_reference(1, 0.5, -1.125, 0.5, CFG)
@@ -156,10 +156,6 @@ def test_p_endpoint_asymptote():
     assert float(scaled) == pytest.approx(1.0, abs=1e-6)
 
 
-def test_p_ode_residual_tiny():
-    assert p_ode_residual(4, 1.0, 0.0, math.cos(0.1), CFG) < 1e-30
-
-
 @pytest.mark.parametrize("xi", [-1e3, -1e4])
 def test_p_keeps_working_digits_at_large_negative_strength(xi):
     # s = n^2 g + 2 xi < 0: the Gauss-series terms alternate over a hump of
@@ -185,11 +181,6 @@ def test_q_endpoint_asymptote():
 def test_wronskian_identity_grid(n, gamma, xi):
     xs = (-0.9, -0.5, 0.0, 0.5, 0.9, 0.995)
     assert oracle_wronskian_worst([(n, gamma, xi, x) for x in xs], CFG) <= 1e-10
-
-
-@pytest.mark.parametrize("n,gamma,xi,x", [(4, 1.0, 0.0, 0.5), (4, 2.0, 0.125, -0.3)])
-def test_q_construction_routes_agree(n, gamma, xi, x):
-    assert q_methods_gap(n, gamma, xi, x, CFG) <= 1e-25
 
 
 def test_q_connection_vs_reflection():
@@ -237,6 +228,45 @@ def test_q_routes_agree_to_working_precision():
     assert float(abs(a.value - b.value) / abs(a.value)) <= 1e-75
 
 
+# -- stop rule and witness -------------------------------------------------------
+
+@pytest.mark.parametrize("kind,n,gamma,xi,x,dps,method", [
+    ("q", 1, 0.3, -1.0, 0.9, 40, "auto"),
+    ("p", 8, 25.0, 0.0, -0.9, 40, "auto"),
+    ("p", 1, 1.0, 0.0, 0.0, 40, "auto"),
+    ("q", 8, 5.0 / math.sin(0.5), 0.0, math.cos(0.5), 60, "auto"),
+    ("q", 4, 1.0, 0.0, 0.95, 40, "connection"),
+])
+def test_meets_working_precision_in_value_and_derivative(kind, n, gamma, xi, x, dps, method):
+    # A stop rule that watched only the last term of F missed 10^-dps at
+    # each point, in value or derivative: by up to 6.1e-37 in q' at the
+    # first, where z = 0.95 leaves a tail of about z/(1-z) times the last
+    # term.  The last point reported 1.6e-63 while off by 6.5e-52, the
+    # rounding to dps + 10 digits.
+    kw = {"method": method} if kind == "q" else {}
+    ref_fn = {"p": p_reference, "q": q_reference}[kind]
+    got = ref_fn(n, gamma, xi, x, OracleConfig(dps=dps), **kw)
+    ref = ref_fn(n, gamma, xi, x, OracleConfig(dps=dps + 50), **kw)
+    with mp.workdps(dps + 50):
+        err = max(float(abs(got.value - ref.value) / abs(ref.value)),
+                  float(abs(got.derivative - ref.derivative) / abs(ref.derivative)))
+    assert err <= 10.0 ** -dps
+    assert got.err_estimate >= err
+
+
+# mpmath's legenp raises NoConvergence near z = 0.8 once n gamma passes
+# about 150, so the witness serves n gamma <= 100.
+@settings(deadline=None, max_examples=30)
+@given(st.integers(1, 32), st.floats(math.log(0.01), math.log(10.0)).map(math.exp),
+       st.floats(0.05, 3.1), st.floats(-10.0, 1.0))
+def test_legendre_pair_matches_the_ferrers_witness(n, lam, theta, xi):
+    gamma = lam / math.sin(theta)
+    assume(n * gamma <= 100)
+    start = time.process_time()
+    assert ferrers_gap(n, gamma, xi, math.cos(theta), CFG) <= 10.0 ** -(CFG.dps - 2)
+    assert time.process_time() - start < 3.0
+
+
 # -- modified Bessel oracles -------------------------------------------------------
 
 def test_besselI_base_cases():
@@ -256,14 +286,19 @@ def test_besselI_recurrence_identity():
     assert float(resid) < 1e-30
 
 
-def _besselK_gaps(n: int, z: float, cfg: OracleConfig) -> tuple[float, float]:
+def _bessel_gaps(kind: str, n: int, z: float, cfg: OracleConfig) -> tuple[float, float]:
     """Relative gaps of value and derivative against mpmath, the derivative
-    as K_n' = -(K_(n-1) + K_(n+1))/2."""
-    kv = besselK_reference(n, z, cfg)
+    as I_n' = (I_(n-1) + I_(n+1))/2 or K_n' = -(K_(n-1) + K_(n+1))/2."""
+    ours, theirs, sign = {
+        "I": (besselI_reference, mp.besseli, 1),
+        "K": (besselK_reference, mp.besselk, -1),
+    }[kind]
+    got = ours(n, z, cfg)
     with mp.workdps(cfg.dps):
-        ref = mp.besselk(n, z)
-        dref = -(mp.besselk(n - 1, z) + mp.besselk(n + 1, z)) / 2
-        return float(abs(kv.value - ref) / ref), float(abs(kv.derivative - dref) / abs(dref))
+        ref = theirs(n, z)
+        dref = sign * (theirs(n - 1, z) + theirs(n + 1, z)) / 2
+        return (float(abs(got.value - ref) / ref),
+                float(abs(got.derivative - dref) / abs(dref)))
 
 
 def test_besselK_positive():
@@ -277,14 +312,15 @@ def test_besselK_positive():
     points += [(60, n, z, 1e-55) for n, z in (
         (4, 8.0), (16, 80.0), (81, 81.0), (90, 90.0), (600, 100.0))]
     for dps, n, z, bound in points:
-        assert max(_besselK_gaps(n, z, OracleConfig(dps=dps))) <= bound, (dps, n, z)
+        assert max(_bessel_gaps("K", n, z, OracleConfig(dps=dps))) <= bound, (dps, n, z)
 
 
 # log-uniform z; the series' cost grows with z, so z stops at 200
-@settings(deadline=None, max_examples=30)
-@given(st.integers(0, 40), st.floats(math.log(1e-2), math.log(200.0)).map(math.exp))
-def test_besselK_matches_mpmath(n, z):
-    assert max(_besselK_gaps(n, z, CFG)) <= 1e-35
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from("IK"), st.integers(0, 40),
+       st.floats(math.log(1e-2), math.log(200.0)).map(math.exp))
+def test_besselK_matches_mpmath(kind, n, z):
+    assert max(_bessel_gaps(kind, n, z, CFG)) <= 1e-35
 
 
 def test_besselK_large_argument_asymptote():
@@ -305,13 +341,6 @@ def test_bessel_cross_wronskian():
     with mp.workdps(60):
         resid = abs((iv.derivative * kv.value - kv.derivative * iv.value) * z - 1)
     assert float(resid) < 1e-25
-
-
-def test_bessel_ode_residuals():
-    assert besselI_ode_residual(4, 8.0, CFG) < 1e-25
-    # K, K' and K'' come term by term from DLMF 10.31.1, so this residual
-    # checks its finite sum, ln-I part and digamma-weighted sum together.
-    assert besselK_ode_residual(4, 8.0, CFG) < 1e-25
 
 
 # -- limiting relation ---------------------------------------------------------------
