@@ -37,6 +37,7 @@ from .recurrences import (
     K_MAX,
     _anti_power,
     _anti_ratio,
+    _specialise_poly,
     omega,
     omega_bar,
     psi,
@@ -203,15 +204,16 @@ def _check_antiderivative_rules() -> tuple[bool, str]:
     pairs = [(0, 1), (1, 1), (2, 0), (2, 2), (3, 1), (0, 3), (1, 2)]
     for table in (_anti_power, _anti_ratio):
         for a, b in pairs:
-            anti = table(a, b, g, zeta)
+            # the generic table entry at g = 2; in xco, d^b stands for X_b
+            expr, xco = (_specialise_poly(part, g, zeta) for part in table(a, b))
             for i in range(20):
                 v = 0.05 + 0.9 * i / 19
                 h = 1e-6
                 # central difference of the explicit part; each formal X_b
                 # contributes its defining derivative v d^b / (1 + g v^2)
-                der = (anti.expr.eval(gamma, v + h) - anti.expr.eval(gamma, v - h)) / (2 * h)
+                der = (expr.eval(gamma, v + h) - expr.eval(gamma, v - h)) / (2 * h)
                 dlt = math.atan(gamma) - math.atan(gamma * v)
-                for bb, c in anti.xco.items():
+                for (_, bb, _), c in xco.items():
                     der += float(c) * v * dlt**bb / (1 + gf * v * v)
                 ref = v**a * dlt**b
                 if table is _anti_ratio:

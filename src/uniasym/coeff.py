@@ -78,6 +78,17 @@ class CoeffExpr:
     # -- constructors -------------------------------------------------------
 
     @classmethod
+    def canonical(
+        cls, g: Fraction, zeta: Fraction, terms: dict[MonKey, ExactScalar]
+    ) -> "CoeffExpr":
+        """An expression from terms that are already canonical: g > 0 and
+        zeta Fractions, nonnegative exponents, nonzero coefficients of the
+        field g.  Nothing is checked and terms is kept, not copied."""
+        out = object.__new__(cls)
+        out.g, out.zeta, out._terms = g, zeta, terms
+        return out
+
+    @classmethod
     def zero(cls, g, zeta) -> "CoeffExpr":
         return cls(g, zeta, None)
 

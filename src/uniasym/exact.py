@@ -72,6 +72,15 @@ class ExactScalar:
         return cls(Fraction(x), 0, g)
 
     @classmethod
+    def canonical(cls, a: Fraction, b: Fraction, g: Fraction) -> "ExactScalar":
+        """a + b*sqrt(g) from parts that are already canonical: Fractions,
+        g > 0, and b = 0 when g is the square of a rational.  Nothing is
+        checked; for callers that build many scalars of one field."""
+        out = object.__new__(cls)
+        out.a, out.b, out.g = a, b, g
+        return out
+
+    @classmethod
     def sqrt_g(cls, g: RationalLike) -> "ExactScalar":
         """The generator sqrt(g) itself (i.e. gamma when g = gamma^2)."""
         return cls(0, 1, g)

@@ -18,12 +18,23 @@ Two families are produced, both starting from the constant 1:
   L or X_b coefficient aborts the step with IntegrityError rather than
   being dropped.
 
+The Legendre recurrence runs once per order, not once per (g, zeta): its
+only parameters are gamma = sqrt(g) and zeta, and it divides only by
+gamma, g and 1 + g, so each psi_k, psibar_k, psiplus_k and psibarplus_k
+is held as one generic element, a polynomial in gamma, 1/gamma and zeta
+over (1 + g)^k with rational coefficients (`_Poly`).  The cancellation
+checks are then polynomial identities.  A chain at one (g, zeta) is the
+generic element specialised exactly: even powers of gamma go to the
+rational part, odd powers to the surd part.
+
 Every chain entry and antiderivative table entry is a pure function of
-its arguments, memoised by a bounded functools.lru_cache: the Bessel
-chains by k, the Legendre chains by (k, g, zeta) and the tables by
-(a, b, g, zeta).  The caches keyed by (g, zeta) hold _CACHED_PAIRS exact
-pairs, dropping the least recently used entries past that.
-Threads may share them: lru_cache keeps each cache coherent, and racing
+its arguments, memoised by a bounded functools.lru_cache.  The Bessel
+chains and the generic Legendre orders are keyed by k and the
+antiderivative tables by (a, b), none by the pair; each entry is built
+on first use and none at import.  The specialised Legendre chains are
+keyed by (k, g, zeta) and hold _CACHED_PAIRS exact pairs, dropping the
+least recently used entries past that.  Threads may share all of them:
+the caches stay coherent, cached values are never mutated, and racing
 threads get equal chains, though they may build one entry twice.
 """
 
@@ -35,8 +46,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .coeff import CoeffExpr
-from .errors import IntegrityError, UsageError
-from .exact import ExactScalar
+from .errors import DomainError, IntegrityError, UsageError
+from .exact import ExactScalar, rational_sqrt
 
 # Deepest coefficient order that every series entry point serves.
 K_MAX = 6
@@ -142,78 +153,264 @@ def omega_bar(k: int) -> CoeffExpr:
     return omega(k) + half_t3_minus_t * w_prev + t4_minus_t2 * _poly_ddt(w_prev)
 
 
-# -- Legendre-side antiderivative engine --------------------------------------
+# -- the generic coefficient ring ----------------------------------------------
+
+# Generic monomial key: exponents (a, b, l, i, j) of v, d, L, gamma and zeta.
+# i may be negative, since the recurrence divides by gamma and by g = gamma^2.
+GenKey = tuple[int, int, int, int, int]
+
+
+def _acc(out: dict, key, c) -> None:
+    """out[key] += c, dropping the key when the sum is zero."""
+    s = out.get(key, 0) + c
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
+
+
+class _Poly:
+    """sum n v^a d^b L^l gamma^i zeta^j / (scale (1 + gamma^2)^den), n integer.
+
+    One element stands for a CoeffExpr at every (g, zeta) at once.  The
+    Legendre recurrence divides only by gamma, g and 1 + g, so its chains
+    live in this ring, and `_specialise` maps them into Q(sqrt(g)).  An
+    element is zero exactly when its numerator is, so the cancellation
+    checks are polynomial identities.  The rational coefficients n/scale
+    share one denominator, so the arithmetic runs on ints.  The caches
+    share instances between threads, so `terms` is never mutated once an
+    instance is built.
+    """
+
+    __slots__ = ("terms", "den", "scale")
+
+    def __init__(self, terms: dict[GenKey, int], den: int = 0, scale: int = 1):
+        common = math.gcd(scale, *terms.values())
+        if common > 1:
+            terms = {key: n // common for key, n in terms.items()}
+            scale //= common
+        self.terms = terms
+        self.den = den
+        self.scale = scale
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def lifted(self, den: int) -> dict[GenKey, int]:
+        """The numerator over (1 + gamma^2)^den, den >= self.den."""
+        terms = self.terms
+        for _ in range(den - self.den):
+            out = dict(terms)
+            for (a, b, l, i, j), n in terms.items():
+                _acc(out, (a, b, l, i + 2, j), n)
+            terms = out
+        return terms
+
+    def __add__(self, other: "_Poly") -> "_Poly":
+        return _sum((self, other))
+
+    def __sub__(self, other: "_Poly") -> "_Poly":
+        return _sum((self, other.times(-1)))
+
+    def __mul__(self, other: "_Poly") -> "_Poly":
+        out: dict[GenKey, int] = {}
+        for (a1, b1, l1, i1, j1), n1 in self.terms.items():
+            for (a2, b2, l2, i2, j2), n2 in other.terms.items():
+                _acc(out, (a1 + a2, b1 + b2, l1 + l2, i1 + i2, j1 + j2), n1 * n2)
+        return _Poly(out, self.den + other.den, self.scale * other.scale)
+
+    def times(self, c=1, *, a: int = 0, i: int = 0, j: int = 0, den: int = 0) -> "_Poly":
+        """Multiply by c v^a gamma^i zeta^j / (1 + gamma^2)^den, c rational."""
+        c = Fraction(c)
+        return _Poly({(ka + a, kb, kl, ki + i, kj + j): n * c.numerator
+                      for (ka, kb, kl, ki, kj), n in self.terms.items() if c},
+                     self.den + den, self.scale * c.denominator)
+
+    def scaled_diff(self) -> "_Poly":
+        """(1 + g v^2) d/dv, closed in-basis as in CoeffExpr.scaled_diff."""
+        out: dict[GenKey, int] = {}
+        for (a, b, l, i, j), n in self.terms.items():
+            if a:
+                _acc(out, (a - 1, b, l, i, j), n * a)
+                _acc(out, (a + 1, b, l, i + 2, j), n * a)
+            if b:
+                _acc(out, (a, b - 1, l, i + 1, j), -n * b)
+            if l:
+                _acc(out, (a + 1, b, l - 1, i + 2, j), n * (2 * l))
+        return _Poly(out, self.den, self.scale)
+
+    def select(self, keep) -> "_Poly":
+        """The monomials whose (a, b, l) satisfy keep(a, b, l)."""
+        return _Poly({k: n for k, n in self.terms.items() if keep(*k[:3])},
+                     self.den, self.scale)
+
+    def coefficients(self) -> dict[tuple[int, int, int], "_Poly"]:
+        """{(a, b, l): coefficient of v^a d^b L^l}, each in gamma and zeta alone."""
+        groups: dict[tuple[int, int, int], dict[GenKey, int]] = {}
+        for (a, b, l, i, j), n in self.terms.items():
+            groups.setdefault((a, b, l), {})[(0, 0, 0, i, j)] = n
+        return {key: _Poly(t, self.den, self.scale) for key, t in groups.items()}
+
+    def __repr__(self) -> str:
+        body = " + ".join(
+            f"({Fraction(n, self.scale)})*v^{a}*d^{b}*L^{l}*gamma^{i}*zeta^{j}"
+            for (a, b, l, i, j), n in sorted(self.terms.items())
+        )
+        return f"({body or 0})/(1 + g)^{self.den}"
+
+
+def _sum(parts) -> _Poly:
+    """The sum of parts, over their common scale and (1 + gamma^2)^den."""
+    den = max(p.den for p in parts)
+    scale = math.lcm(*(p.scale for p in parts))
+    out: dict[GenKey, int] = {}
+    for p in parts:
+        f = scale // p.scale
+        for key, n in p.lifted(den).items():
+            _acc(out, key, n * f)
+    return _Poly(out, den, scale)
+
+
+_ZERO = _Poly({})
+_ONE = _Poly({(0, 0, 0, 0, 0): 1})
+_ONE_MINUS_V2 = _Poly({(0, 0, 0, 0, 0): 1, (2, 0, 0, 0, 0): -1})
+
+
+def _lift(expr: CoeffExpr) -> _Poly:
+    """The generic element a + b gamma of each coefficient a + b sqrt(g)."""
+    parts = [((a, b, l, i, 0), x) for (a, b, l), c in expr.items()
+             for i, x in ((0, c.a), (1, c.b)) if x]
+    scale = math.lcm(*(x.denominator for _, x in parts))
+    return _Poly({key: int(x * scale) for key, x in parts}, 0, scale)
+
+
+# -- specialisation at (g, zeta) ------------------------------------------------
+
+class _Plan(NamedTuple):
+    """A generic element and the integer form it is specialised from.
+
+    gamma^i = g^e gamma^(i - 2e) with e = i // 2: even i feed the rational
+    part, odd i the surd part.  Each coefficient is an integer n over the
+    element's scale; a term n g^e zeta^j is held in rows as (w, n), where
+    w indexes the pair's table of g^e zeta^j numerators."""
+
+    poly: _Poly
+    emin: int
+    emax: int
+    jmax: int
+    rows: tuple[tuple[tuple[int, int, int], tuple, tuple], ...]
+
+
+def _plan(poly: _Poly) -> _Plan:
+    es = [i // 2 for (_, _, _, i, _) in poly.terms]
+    emin, emax = min(es + [0]), max(es + [0])
+    jmax = max((j for (*_, j) in poly.terms), default=0)
+    rows: dict[tuple[int, int, int], tuple[list, list]] = {}
+    for (a, b, l, i, j), n in poly.terms.items():
+        w = (i // 2 - emin) * (jmax + 1) + j
+        rows.setdefault((a, b, l), ([], []))[i % 2].append((w, n))
+    return _Plan(poly, emin, emax, jmax,
+                 tuple((key, tuple(even), tuple(odd)) for key, (even, odd) in rows.items()))
+
+
+def _specialise(plan: _Plan, g, zeta) -> CoeffExpr:
+    """The exact CoeffExpr a planned generic element takes at (g, zeta).
+
+    With g = p/q and zeta = r/s, each part of each coefficient is an
+    integer sum over the terms, then one Fraction:
+
+            g^e zeta^j / (scale (1 + g)^den)
+          = p^(e-emin) q^(emax-e) r^j s^(jmax-j) q^den
+            / (scale p^-emin q^emax s^jmax (p + q)^den).
+    """
+    g, zeta = Fraction(g), Fraction(zeta)
+    if g <= 0:
+        raise DomainError(f"field parameter g must be positive, got {g}")
+    p, q = g.numerator, g.denominator
+    r, s = zeta.numerator, zeta.denominator
+    span, jmax = plan.emax - plan.emin, plan.jmax
+    rs = [r**j * s ** (jmax - j) for j in range(jmax + 1)]
+    table = [p**t * q ** (span - t) * z for t in range(span + 1) for z in rs]
+    den = plan.poly.den
+    top = q**den
+    bottom = plan.poly.scale * p ** (-plan.emin) * q**plan.emax * s**jmax * (p + q) ** den
+    root = rational_sqrt(g)
+    if root is not None:
+        # gamma = rn/rd is rational: the surd part folds into the rational one
+        rn, rd = root.numerator, root.denominator
+        top_b, bottom = top * rn, bottom * rd
+        top *= rd
+    else:
+        top_b = top
+    zero = Fraction(0)
+    terms: dict[tuple[int, int, int], ExactScalar] = {}
+    for key, even, odd in plan.rows:
+        num_a = sum(n * table[w] for w, n in even) * top
+        num_b = sum(n * table[w] for w, n in odd) * top_b
+        if root is not None:
+            num_a, num_b = num_a + num_b, 0
+        if num_a or num_b:
+            terms[key] = ExactScalar.canonical(
+                Fraction(num_a, bottom) if num_a else zero,
+                Fraction(num_b, bottom) if num_b else zero, g)
+    return CoeffExpr.canonical(g, zeta, terms)
+
+
+def _specialise_poly(poly: _Poly, g, zeta) -> CoeffExpr:
+    return _specialise(_plan(poly), g, zeta)
+
+
+# -- Legendre-side antiderivative engine ----------------------------------------
 
 class _Anti(NamedTuple):
-    """Indefinite antiderivative: explicit part plus formal X_b content.
+    """Indefinite antiderivative: explicit part plus formal part.  In xco
+    the monomial d^b stands for the non-elementary X_b."""
 
-    Table entries are cached and shared, so xco is never mutated."""
-
-    expr: CoeffExpr
-    xco: dict[int, ExactScalar]
+    expr: _Poly
+    xco: _Poly
 
 
 class _DefInt(NamedTuple):
     """Definite integral from v' = 1: explicit part, X_b part, and the
     coefficient of the anchor constant ln(1 + g) from the lower limit."""
 
-    expr: CoeffExpr
-    xco: dict[int, ExactScalar]
-    anchor: ExactScalar
+    expr: _Poly
+    xco: _Poly
+    anchor: _Poly
 
 
-def _xmerge(dst: dict[int, ExactScalar], src: dict[int, ExactScalar], factor) -> None:
-    for b, c in src.items():
-        add = c * factor
-        cur = dst.get(b)
-        acc = add if cur is None else cur + add
-        if acc.is_zero:
-            dst.pop(b, None)
-        else:
-            dst[b] = acc
-
-
-# Exact (g, zeta) pairs the Legendre-side caches hold.  At K_MAX a pair
-# fills K_MAX + 1 entries of each chain and under 64 of each antiderivative
-# table, about 0.5 MB in all.
-_CACHED_PAIRS = 32
-_CHAIN_SIZE = _CACHED_PAIRS * (K_MAX + 1)
-_TABLE_SIZE = _CACHED_PAIRS * 64
+# Entries of each antiderivative table: the chains to K_MAX use under 64.
+_TABLE_SIZE = 256
 
 
 @lru_cache(maxsize=_TABLE_SIZE)
-def _anti_power(a: int, b: int, g: Fraction, zeta: Fraction) -> _Anti:
+def _anti_power(a: int, b: int) -> _Anti:
     """Antiderivative of v^a d^b (indefinite; explicit constant left at 0)."""
-    lead = CoeffExpr.monomial(g, zeta, a + 1, b, 0, Fraction(1, a + 1))
+    lead = _Poly({(a + 1, b, 0, 0, 0): 1}, 0, a + 1)
     if b == 0:
-        return _Anti(lead, {})
-    # by parts: the d-power drops by one against 1/(1+gv^2)
-    tail = _anti_ratio(a + 1, b - 1, g, zeta)
-    factor = ExactScalar.sqrt_g(g) * Fraction(b, a + 1)
-    xco: dict[int, ExactScalar] = {}
-    _xmerge(xco, tail.xco, factor)
-    return _Anti(lead + tail.expr.scale(factor), xco)
+        return _Anti(lead, _ZERO)
+    # by parts: the d-power drops by one against 1/(1+gv^2), times gamma
+    tail = _anti_ratio(a + 1, b - 1)
+    factor = Fraction(b, a + 1)
+    return _Anti(lead + tail.expr.times(factor, i=1), tail.xco.times(factor, i=1))
 
 
 @lru_cache(maxsize=_TABLE_SIZE)
-def _anti_ratio(a: int, b: int, g: Fraction, zeta: Fraction) -> _Anti:
+def _anti_ratio(a: int, b: int) -> _Anti:
     """Antiderivative of v^a d^b / (1 + g v^2)."""
     if a == 0:
-        coeff = ExactScalar.sqrt_g(g).inv() * Fraction(-1, b + 1)
-        return _Anti(CoeffExpr.monomial(g, zeta, 0, b + 1, 0, coeff), {})
+        return _Anti(_Poly({(0, b + 1, 0, -1, 0): -1}, 0, b + 1), _ZERO)
     if a == 1 and b == 0:
-        return _Anti(CoeffExpr.monomial(g, zeta, 0, 0, 1, Fraction(1, 2) / g), {})
+        return _Anti(_Poly({(0, 0, 1, -2, 0): 1}, 0, 2), _ZERO)
     if a == 1:
         # Int v d^b/(1+gv^2) dv is not elementary; keep it formal.
-        return _Anti(CoeffExpr.zero(g, zeta), {b: ExactScalar(1, 0, g)})
+        return _Anti(_ZERO, _Poly({(0, b, 0, 0, 0): 1}))
     # v^a/(1+gv^2) = v^(a-2)/g - v^(a-2)/(g(1+gv^2))
-    inv_g = Fraction(1) / g
-    part_p = _anti_power(a - 2, b, g, zeta)
-    part_a = _anti_ratio(a - 2, b, g, zeta)
-    xco: dict[int, ExactScalar] = {}
-    _xmerge(xco, part_p.xco, inv_g)
-    _xmerge(xco, part_a.xco, -inv_g)
-    return _Anti(part_p.expr.scale(inv_g) - part_a.expr.scale(inv_g), xco)
+    part_p = _anti_power(a - 2, b)
+    part_a = _anti_ratio(a - 2, b)
+    return _Anti((part_p.expr - part_a.expr).times(i=-2),
+                 (part_p.xco - part_a.xco).times(i=-2))
 
 
 def _definite(anti: _Anti) -> _DefInt:
@@ -222,104 +419,142 @@ def _definite(anti: _Anti) -> _DefInt:
     At v = 1 the d-factors vanish; L(1) = ln(1+g) is kept formal as the
     anchor coefficient.
     """
-    expr = anti.expr
-    const = ExactScalar(0, 0, expr.g)
-    anchor = ExactScalar(0, 0, expr.g)
-    for (a, b, l), c in expr.items():
+    const: dict[GenKey, int] = {}
+    anchor: dict[GenKey, int] = {}
+    for (a, b, l, i, j), n in anti.expr.terms.items():
         if b > 0:
             continue
         if l == 0:
-            const = const + c
+            _acc(const, (0, 0, 0, i, j), n)
         elif l == 1 and a == 0:
-            anchor = anchor + c
+            _acc(anchor, (0, 0, 0, i, j), -n)
         else:
             raise IntegrityError(
                 f"unexpected log monomial (a={a}, b={b}, l={l}) in antiderivative"
             )
-    if not const.is_zero:
-        expr = expr - CoeffExpr.monomial(expr.g, expr.zeta, 0, 0, 0, const)
+    den, scale = anti.expr.den, anti.expr.scale
     # Formal X_b are anchored at v = 1 by convention, adding nothing here.
-    return _DefInt(expr, dict(anti.xco), -anchor)
+    return _DefInt(anti.expr - _Poly(const, den, scale), anti.xco,
+                   _Poly(anchor, den, scale))
 
 
-def _integrate_expr(expr: CoeffExpr, table) -> _DefInt:
+def _integrate_expr(expr: _Poly, table) -> _DefInt:
     """Definite integral from 1 of expr through one antiderivative table:
     _anti_power for expr itself, _anti_ratio for expr / (1 + g v^2)."""
-    g, zeta = expr.g, expr.zeta
-    total = CoeffExpr.zero(g, zeta)
-    xco: dict[int, ExactScalar] = {}
-    anchor = ExactScalar(0, 0, g)
-    for (a, b, l), c in expr.items():
+    cols: tuple[list[_Poly], ...] = ([_ZERO], [_ZERO], [_ZERO])
+    for (a, b, l), c in expr.coefficients().items():
         if l != 0:
             raise UsageError("integrand must be log-free")
-        piece = _definite(table(a, b, g, zeta))
-        total = total + piece.expr.scale(c)
-        _xmerge(xco, piece.xco, c)
-        anchor = anchor + piece.anchor * c
-    return _DefInt(total, xco, anchor)
+        for col, part in zip(cols, _definite(table(a, b))):
+            col.append(part * c)
+    return _DefInt(*(_sum(col) for col in cols))
 
 
-def _step(psi_k: CoeffExpr) -> CoeffExpr:
-    """One Legendre-side recurrence step with transient-cancellation check."""
-    if psi_k.has_log:
+def _step(psi_k: _Poly, value=lambda t: t) -> _Poly:
+    """One Legendre-side recurrence step with transient-cancellation check.
+
+    Each transient coefficient (of L, of higher logs, of the anchor, of
+    each X_b) must be zero after `value`: as generic elements for the
+    chains, at one (g, zeta) for integrate_step_legendre.
+    """
+    if psi_k.select(lambda a, b, l: l).terms:
         raise UsageError("recurrence input must be log-free")
-    g, zeta = psi_k.g, psi_k.zeta
-    one_plus_g = 1 + g
-
-    one_minus_v2 = CoeffExpr.poly_v(g, zeta, {0: 1, 2: -1})
-    dterm = (psi_k.scaled_diff() * one_minus_v2).scale(
-        Fraction(1, 2) / one_plus_g
-    )
-
-    bracket = CoeffExpr.poly_v(g, zeta, {2: 5, 0: Fraction(1) / g - 1})
-    int_poly = _integrate_expr(bracket * psi_k, _anti_power)
+    dterm = (psi_k.scaled_diff() * _ONE_MINUS_V2).times(Fraction(1, 2), den=1)
+    # (5 v^2 + 1/g - 1) psi_k
+    bracket = _sum((psi_k.times(5, a=2), psi_k.times(i=-2), psi_k.times(-1)))
+    int_poly = _integrate_expr(bracket, _anti_power)
     int_ratio = _integrate_expr(psi_k, _anti_ratio)
 
-    w_poly = -g / (8 * one_plus_g)
-    w_ratio = -zeta
+    def weigh(x: _Poly, y: _Poly) -> _Poly:
+        """w_poly x + w_ratio y with w_poly = -g/(8(1+g)), w_ratio = -zeta."""
+        return x.times(Fraction(-1, 8), i=2, den=1) + y.times(-1, j=1)
 
-    result = (
-        dterm
-        + int_poly.expr.scale(w_poly)
-        + int_ratio.expr.scale(w_ratio)
-    )
-    xco: dict[int, ExactScalar] = {}
-    _xmerge(xco, int_poly.xco, w_poly)
-    _xmerge(xco, int_ratio.xco, w_ratio)
-    anchor = int_poly.anchor * w_poly + int_ratio.anchor * w_ratio
-
+    result = dterm + weigh(int_poly.expr, int_ratio.expr)
+    xco = weigh(int_poly.xco, int_ratio.xco)
+    transients = [
+        ("L coefficient", result.select(lambda a, b, l: (a, b, l) == (0, 0, 1))),
+        ("higher log monomials", result.select(lambda a, b, l: l and (a, b, l) != (0, 0, 1))),
+        ("anchor ln(1+g) coefficient", weigh(int_poly.anchor, int_ratio.anchor)),
+    ]
+    transients += [(f"X_{b} coefficient", c)
+                   for (_, b, _), c in sorted(xco.coefficients().items())]
     problems = []
-    log_coeff = result.coeff_at(0, 0, 1)
-    if not log_coeff.is_zero:
-        problems.append(f"L coefficient {log_coeff!r}")
-    if result.has_log and log_coeff.is_zero:
-        problems.append("higher log monomials present")
-    if not anchor.is_zero:
-        problems.append(f"anchor ln(1+g) coefficient {anchor!r}")
-    for b in sorted(xco):
-        problems.append(f"X_{b} coefficient {xco[b]!r}")
+    for what, t in transients:
+        left = value(t)
+        if not left.is_zero:
+            problems.append(f"{what} {left!r}")
     if problems:
         raise IntegrityError(
             "transients failed to cancel in recurrence step: "
             + "; ".join(problems)
         )
-    return result
+    return result.select(lambda a, b, l: not l)
 
 
 def integrate_step_legendre(expr: CoeffExpr, g, zeta) -> CoeffExpr:
-    """One recurrence step for the Legendre-side coefficients."""
+    """One recurrence step for the Legendre-side coefficients at (g, zeta).
+
+    The input is lifted into the generic ring, stepped there and
+    specialised back; its transients must vanish at (g, zeta).
+    """
     if expr.g != Fraction(g) or expr.zeta != Fraction(zeta):
         raise UsageError("expression parameters do not match (g, zeta)")
-    return _step(expr)
+
+    def at_pair(t: _Poly) -> CoeffExpr:
+        return _specialise_poly(t, expr.g, expr.zeta)
+
+    return at_pair(_step(_lift(expr), at_pair))
+
+
+# -- generic chains and their specialisations ------------------------------------
+
+@lru_cache(maxsize=K_MAX + 1)
+def _psi_generic(k: int) -> _Plan:
+    return _plan(_ONE if k == 0 else _step(_psi_generic(k - 1).poly))
+
+
+@lru_cache(maxsize=K_MAX + 1)
+def _psi_bar_generic(k: int) -> _Plan:
+    """psibar_k = psi_k - g v (1-v^2)/(2(1+g)) psi_{k-1}
+                  - (1-v^2)(1+g v^2)/(1+g) dpsi_{k-1}/dv,
+
+    with the last term formed in-basis from the scaled derivative."""
+    if k == 0:
+        return _psi_generic(0)
+    prev = _psi_generic(k - 1).poly
+    v_term = (prev.times(a=1) * _ONE_MINUS_V2).times(Fraction(1, 2), i=2, den=1)
+    d_term = (prev.scaled_diff() * _ONE_MINUS_V2).times(den=1)
+    return _plan(_psi_generic(k).poly - v_term - d_term)
+
+
+def _plus_combine(chain: list[_Poly]) -> _Plan:
+    """sum_{i<=k} e_i chain[k-i] with e_i the Stirling reciprocal coefficients."""
+    k = len(chain) - 1
+    return _plan(_sum([term.times(e_i) for e_i, term
+                       in zip(stirling_exp_coefficients(k), reversed(chain))]))
+
+
+@lru_cache(maxsize=K_MAX + 1)
+def _psi_plus_generic(k: int) -> _Plan:
+    return _plus_combine([_psi_generic(i).poly for i in range(k + 1)])
+
+
+@lru_cache(maxsize=K_MAX + 1)
+def _psi_bar_plus_generic(k: int) -> _Plan:
+    return _plus_combine([_psi_bar_generic(i).poly for i in range(k + 1)])
+
+
+# Exact (g, zeta) pairs the specialised chains hold: a pair fills K_MAX + 1
+# entries of each of the four.
+_CACHED_PAIRS = 32
+_CHAIN_SIZE = _CACHED_PAIRS * (K_MAX + 1)
 
 
 @lru_cache(maxsize=_CHAIN_SIZE)
 def psi(k: int, g, zeta) -> CoeffExpr:
     """k-th Legendre-side coefficient function (exact, log-free)."""
     _check_k(k)
-    if k == 0:
-        return CoeffExpr.one(g, zeta)
-    return _step(psi(k - 1, g, zeta))
+    return _specialise(_psi_generic(k), g, zeta)
 
 
 @lru_cache(maxsize=_CHAIN_SIZE)
@@ -327,32 +562,10 @@ def psi_bar(k: int, g, zeta) -> CoeffExpr:
     """Derivative-side Legendre coefficient.
 
     psibar_k = psi_k - g v (1-v^2)/(2(1+g)) psi_{k-1}
-               - (1-v^2)(1+g v^2)/(1+g) dpsi_{k-1}/dv,
-
-    with the last term formed in-basis from the scaled derivative.
+               - (1-v^2)(1+g v^2)/(1+g) dpsi_{k-1}/dv.
     """
     _check_k(k)
-    if k == 0:
-        return psi(0, g, zeta)
-    prev = psi(k - 1, g, zeta)
-    gf = prev.g
-    one_minus_v2 = CoeffExpr.poly_v(gf, prev.zeta, {0: 1, 2: -1})
-    v_term = prev.shift_v(1) * one_minus_v2
-    d_term = prev.scaled_diff() * one_minus_v2
-    return (
-        psi(k, g, zeta)
-        - v_term.scale(gf / (2 * (1 + gf)))
-        - d_term.scale(Fraction(1) / (1 + gf))
-    )
-
-
-def _plus_combine(chain: list[CoeffExpr]) -> CoeffExpr:
-    """sum_{i<=k} e_i chain[k-i] with e_i the Stirling reciprocal coefficients."""
-    k = len(chain) - 1
-    acc = CoeffExpr.zero(chain[0].g, chain[0].zeta)
-    for e_i, term in zip(stirling_exp_coefficients(k), reversed(chain)):
-        acc = acc + term.scale(e_i)
-    return acc
+    return _specialise(_psi_bar_generic(k), g, zeta)
 
 
 @lru_cache(maxsize=_CHAIN_SIZE)
@@ -364,11 +577,11 @@ def psi_plus(k: int, g, zeta) -> CoeffExpr:
     combination because e_i carries parity (-1)^i under n -> -n.
     """
     _check_k(k)
-    return _plus_combine([psi(i, g, zeta) for i in range(k + 1)])
+    return _specialise(_psi_plus_generic(k), g, zeta)
 
 
 @lru_cache(maxsize=_CHAIN_SIZE)
 def psi_bar_plus(k: int, g, zeta) -> CoeffExpr:
     """Derivative-side analogue of psi_plus."""
     _check_k(k)
-    return _plus_combine([psi_bar(i, g, zeta) for i in range(k + 1)])
+    return _specialise(_psi_bar_plus_generic(k), g, zeta)

@@ -3,16 +3,20 @@
 from __future__ import annotations
 
 import ast
+import os
 import random
+import subprocess
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import closed_forms
+import pair_engine
 from closed_forms import closed_omega, closed_omega_bar, closed_psi, closed_psi_bar
 from uniasym import (
     CoeffExpr,
@@ -33,6 +37,7 @@ from uniasym import (
 from uniasym import closed_forms as package_closed_forms
 from uniasym import recurrences
 from uniasym.checks import psi_defects
+from uniasym.exact import rational_sqrt
 
 PAIRS = [
     (Fraction(1), Fraction(-1, 8)),
@@ -72,6 +77,42 @@ def test_psi_bar_equals_hand_forms_at_random_triples():
             gen, hand = psi_bar(k, g, zeta), closed_psi_bar(k, g, zeta)
             assert gen == hand
             assert gen.eval_exact_v(v) == hand.eval_exact_v(v)
+
+
+# gamma from a float, as the evaluators derive it, so g is a rational square;
+# and non-square g, where the surd part of each coefficient is split off.
+SQUARE_G = st.floats(0.05, 200.0).map(lambda gamma: Fraction(gamma) ** 2)
+NON_SQUARE_G = st.one_of(
+    st.sampled_from([Fraction(2), Fraction(7, 3)]),
+    st.builds(Fraction, st.integers(1, 500), st.integers(1, 97)).filter(
+        lambda g: rational_sqrt(g) is None),
+)
+ZETAS = st.one_of(
+    st.floats(-20.0, 20.0).map(lambda xi: Fraction(xi) - Fraction(1, 8)),
+    st.builds(Fraction, st.integers(-40, 40), st.integers(1, 64)),
+)
+
+
+def test_specialised_chains_equal_the_per_pair_engine():
+    # Each family at k <= K_MAX, specialised from its generic order, equals
+    # the chain the per-pair engine in tests/pair_engine.py builds at (g, zeta).
+    @settings(deadline=None, max_examples=12, database=None)
+    @given(st.one_of(SQUARE_G, NON_SQUARE_G), ZETAS)
+    @example(Fraction(8.17) ** 2, Fraction(0.25) - Fraction(1, 8))
+    @example(Fraction(40.1) ** 2, Fraction(-1, 8))
+    @example(Fraction(3.7) ** 2, Fraction(0.5) - Fraction(1, 8))
+    @example(Fraction(2), Fraction(1, 3))
+    @example(Fraction(7, 3), Fraction(2, 5))
+    @example(Fraction(5, 8), Fraction(-7, 32))
+    def check(g, zeta):
+        for name, ref in pair_engine.FAMILIES.items():
+            fam = getattr(recurrences, name)
+            for k in range(K_MAX + 1):
+                assert fam(k, g, zeta) == ref(k, g, zeta), (name, k, g, zeta)
+
+    start = time.process_time()
+    check()
+    assert time.process_time() - start < 60.0
 
 
 def test_closed_forms_do_not_import_the_recurrences():
@@ -229,43 +270,111 @@ def test_antiderivative_rules_match_numeric_derivative():
     assert ok, detail
 
 
-def test_fresh_pair_builds_one_chain_from_eight_threads():
-    # The kernel caches are lru_caches over pure functions, so eight threads
-    # racing to build a pair no other test uses must all get equal chains,
-    # though some entries may be built more than once.
-    g, zeta = Fraction(1234577, 2**20) ** 2, Fraction(-3, 17)
+# A fresh process, so that the threads also race the first build of every
+# generic order and antiderivative table.
+RACE = """
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
+import pair_engine
+from uniasym import recurrences as r
+
+NAMES = ("psi", "psi_bar", "psi_plus", "psi_bar_plus")
+GENERIC = (r._psi_generic, r._psi_bar_generic, r._psi_plus_generic,
+           r._psi_bar_plus_generic, r._anti_power, r._anti_ratio)
+assert all(f.cache_info().currsize == 0 for f in GENERIC)
+
+
+def race(g, zeta):
     def build(_):
-        return ([psi(k, g, zeta) for k in range(K_MAX + 1)]
-                + [psi_bar_plus(k, g, zeta) for k in range(K_MAX + 1)])
+        return [getattr(r, nm)(k, g, zeta) for nm in NAMES for k in range(r.K_MAX + 1)]
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            chains = list(pool.map(build, range(8), timeout=120))
-    finally:
-        sys.setswitchinterval(interval)
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        chains = list(pool.map(build, range(8), timeout=120))
     assert all(chain == chains[0] for chain in chains[1:])
-    # a lost update in the cached chain would shift psi_k; step it serially
-    ref = [CoeffExpr.one(g, zeta)]
-    for _ in range(K_MAX):
-        ref.append(integrate_step_legendre(ref[-1], g, zeta))
-    assert chains[0][:K_MAX + 1] == ref
+    assert chains[0] == [pair_engine.FAMILIES[nm](k, g, zeta)
+                         for nm in NAMES for k in range(r.K_MAX + 1)]
+    return chains[0]
+
+
+def generic_values():
+    return [(o.poly.den, o.poly.scale, dict(o.poly.terms), o.rows)
+            for f in GENERIC[:4] for o in (f(k) for k in range(r.K_MAX + 1))]
+
+
+sys.setswitchinterval(1e-5)
+g, zeta = Fraction(1234577, 2**20) ** 2, Fraction(-3, 17)
+chain = race(g, zeta)
+# a lost update in a cached chain would shift psi_k; step it serially
+ref = [r.CoeffExpr.one(g, zeta)]
+for _ in range(r.K_MAX):
+    ref.append(r.integrate_step_legendre(ref[-1], g, zeta))
+assert chain[:r.K_MAX + 1] == ref
+# the cached generic values stay as stored while a second pair races
+stored = generic_values()
+race(Fraction(7, 3), Fraction(2, 5))
+assert generic_values() == stored
+print("ok")
+"""
+
+
+def _run_fresh(code: str) -> str:
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    return proc.stdout
+
+
+def test_fresh_pair_builds_one_chain_from_eight_threads():
+    # The caches are over pure functions whose values are never mutated, so
+    # eight threads racing to build every family at a pair no other test
+    # uses must all get equal chains, equal to the per-pair engine's, though
+    # some entries may be built more than once.
+    assert _run_fresh(RACE).split() == ["ok"]
+
+
+LAZY = """
+import uniasym, uniasym.cli
+from uniasym import recurrences as r
+
+GENERIC = (r._psi_generic, r._psi_bar_generic, r._psi_plus_generic,
+           r._psi_bar_plus_generic)
+print(*(f.cache_info().currsize for f in GENERIC))
+uniasym.cli.main(["errtable", "--theta", "0.5", "--n", "4", "--lambda-min", "1",
+                  "--lambda-max", "1", "--steps", "1", "--orders", "0,1,2,3"])
+print(*(f.cache_info().currsize for f in GENERIC))
+"""
+
+
+def test_generic_orders_are_built_lazily():
+    # Import builds nothing; one errtable row at orders 0..3 builds psi_0..psi_3
+    # and no psibar or plus order.
+    lines = _run_fresh(LAZY).splitlines()
+    assert lines[0] == "0 0 0 0"
+    assert lines[-1] == "4 0 0 0"
 
 
 def test_pair_keyed_memo_is_bounded_and_rebuilds_equal_chains():
-    for fn in (psi, psi_bar, psi_plus, psi_bar_plus,
-               recurrences._anti_power, recurrences._anti_ratio):
+    generic = (recurrences._psi_generic, recurrences._psi_bar_generic,
+               recurrences._psi_plus_generic, recurrences._psi_bar_plus_generic,
+               recurrences._anti_power, recurrences._anti_ratio)
+    for fn in (psi, psi_bar, psi_plus, psi_bar_plus) + generic:
         assert fn.cache_info().maxsize is not None
     g, zeta = Fraction(5, 8), Fraction(-7, 32)
     kept = [psi(k, g, zeta) for k in range(3)]
+    built = [fn.cache_info().currsize for fn in generic]
     maxsize = psi.cache_info().maxsize
-    # fresh dyadic pairs at k <= 1 are cheap and push the first pair out
+    # fresh dyadic pairs push the first pair out
     for i in range(maxsize):
         psi(1, Fraction(2 * i + 1, 2**10), Fraction(-1, 2**12))
     info = psi.cache_info()
     assert info.currsize <= info.maxsize
+    # the generic orders and tables are keyed by k or (a, b), not by the pair
+    assert [fn.cache_info().currsize for fn in generic] == built
     rebuilt = [psi(k, g, zeta) for k in range(3)]
     assert psi.cache_info().misses > info.misses
     assert rebuilt == kept
